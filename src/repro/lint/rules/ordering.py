@@ -12,8 +12,11 @@ Two checks:
 * any ``json.dumps`` call must pass ``sort_keys=True`` -- canonical
   JSON is the fingerprint substrate, everywhere;
 * inside export-path functions (``fingerprint`` / ``to_dict`` /
-  ``to_dicts`` / ``to_json`` / ``export*`` / ``emit*``), for-loops,
-  list comprehensions and generator expressions must not iterate a
+  ``to_dicts`` / ``to_json`` / ``export*`` / ``emit*``, the streaming
+  encoder's ``encode*`` / ``canonical*`` / ``chunked`` /
+  ``event_chunks``, and the record sources' ``*_columns`` /
+  ``event_rows``; leading underscores ignored), for-loops, list
+  comprehensions and generator expressions must not iterate a
   ``.keys()`` / ``.values()`` / ``.items()`` view, a ``set(...)``
   call or a set literal without an enclosing ``sorted(...)``.
 
@@ -29,16 +32,32 @@ from typing import List
 from repro.lint.core import ModuleRule, SourceModule, Violation, registry
 from repro.lint.names import dotted_name
 
-#: Function names whose bodies are export/fingerprint paths.
-EXPORT_NAMES = ("fingerprint", "to_dict", "to_dicts", "to_json")
-EXPORT_PREFIXES = ("export", "emit")
+#: Function names whose bodies are export/fingerprint paths: the
+#: exporters, the streaming canonical encoder
+#: (``repro.serving.canonical``, ``RouterReport.canonical_chunks``) and
+#: the record sources whose columns it renders.
+EXPORT_NAMES = (
+    "fingerprint",
+    "to_dict",
+    "to_dicts",
+    "to_json",
+    "chunked",
+    "event_chunks",
+    "completed_columns",
+    "rejected_columns",
+    "event_columns",
+    "event_rows",
+)
+EXPORT_PREFIXES = ("export", "emit", "encode", "canonical")
 
 #: Dict-view methods whose order is insertion history.
 VIEW_METHODS = ("keys", "values", "items")
 
 
 def is_export_function(name: str) -> bool:
-    """Whether a function name marks an export/fingerprint path."""
+    """Whether a function name marks an export/fingerprint path
+    (leading underscores ignored, so private helpers count too)."""
+    name = name.lstrip("_")
     return name in EXPORT_NAMES or name.startswith(EXPORT_PREFIXES)
 
 

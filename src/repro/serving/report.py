@@ -5,8 +5,9 @@ completion and rejection, per-tenant SoC / deadline hit-rate /
 rejection-rate, per-platform utilization / energy / degradation
 profile, and the full event log.  ``to_dict`` / ``to_json`` give a
 stable plain-data schema, and :meth:`RouterReport.fingerprint` hashes
-the canonical JSON -- the determinism guarantee ("bit-identical runs")
-is asserted by comparing fingerprints.
+the canonical JSON (streamed by :mod:`repro.serving.canonical`) -- the
+determinism guarantee ("bit-identical runs") is asserted by comparing
+fingerprints.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.satisfaction import SoCBreakdown
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile
+from repro.serving.canonical import CHUNK, encode_report, event_chunks
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.request import Request
 
@@ -29,6 +31,7 @@ __all__ = [
     "PlatformStats",
     "ResilienceStats",
     "RouterReport",
+    "ObjectRecords",
 ]
 
 
@@ -288,25 +291,31 @@ class RouterReport:
     )
 
     # -- fleet-level views ----------------------------------------------
+    def _records(self) -> "ObjectRecords":
+        """The record source every aggregate, ``to_dict`` and
+        ``fingerprint`` read: the materialized object lists here;
+        subclasses may answer from a columnar source instead."""
+        return ObjectRecords(self)
+
     @property
     def n_offered(self) -> int:
         """Every request that reached admission."""
-        return len(self.completed) + len(self.rejected)
+        return self.n_completed + self.n_rejected
 
     @property
     def n_completed(self) -> int:
         """Requests served to completion."""
-        return len(self.completed)
+        return self._records().n_completed()
 
     @property
     def n_rejected(self) -> int:
         """Requests turned away by admission control."""
-        return len(self.rejected)
+        return self._records().n_rejected()
 
     @property
     def deadline_hits(self) -> int:
         """Completions inside their tenant's hard deadline."""
-        return sum(1 for record in self.completed if record.deadline_hit)
+        return self._records().deadline_hits()
 
     @property
     def deadline_hit_rate(self) -> float:
@@ -325,9 +334,7 @@ class RouterReport:
     @property
     def mean_soc(self) -> float:
         """Mean SoC over completed requests."""
-        if not self.completed:
-            return 0.0
-        return sum(r.soc.value for r in self.completed) / len(self.completed)
+        return self._records().mean_soc()
 
     @property
     def total_energy_j(self) -> float:
@@ -344,56 +351,12 @@ class RouterReport:
         linearly interpolated -- delegated to
         :func:`repro.obs.metrics.linear_percentile`, the same edge
         conventions ``ServerReport.percentile`` uses."""
-        return linear_percentile([r.latency_s for r in self.completed], q)
+        return linear_percentile(self._records().latencies(), q)
 
     # -- per-tenant aggregation -----------------------------------------
     def per_tenant(self) -> List[TenantStats]:
         """Tenant aggregates, sorted by tenant name."""
-        tenants: Dict[str, dict] = {}
-
-        def bucket(name: str, priority: int) -> dict:
-            if name not in tenants:
-                tenants[name] = {
-                    "priority": priority,
-                    "completed": [],
-                    "rejected": 0,
-                }
-            return tenants[name]
-
-        for record in self.completed:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["completed"].append(record)
-        for record in self.rejected:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["rejected"] += 1
-        stats = []
-        for name in sorted(tenants):
-            data = tenants[name]
-            done = data["completed"]
-            offered = len(done) + data["rejected"]
-            stats.append(
-                TenantStats(
-                    tenant=name,
-                    priority=data["priority"],
-                    offered=offered,
-                    completed=len(done),
-                    rejected=data["rejected"],
-                    deadline_hits=sum(1 for r in done if r.deadline_hit),
-                    mean_soc=(
-                        sum(r.soc.value for r in done) / len(done)
-                        if done
-                        else 0.0
-                    ),
-                    mean_latency_s=(
-                        sum(r.latency_s for r in done) / len(done)
-                        if done
-                        else 0.0
-                    ),
-                )
-            )
-        return stats
+        return self._records().per_tenant()
 
     def tenant(self, name: str) -> TenantStats:
         """One tenant's aggregate (KeyError lists known tenants)."""
@@ -711,7 +674,7 @@ class RouterReport:
             },
             "tenants": [stats.to_dict() for stats in self.per_tenant()],
             "platforms": [stats.to_dict() for stats in self.platforms],
-            "event_counts": self.events.counts,
+            "event_counts": self._records().event_counts(),
         }
         if self.resilience is not None:
             data["resilience"] = self.resilience.to_dict()
@@ -742,13 +705,26 @@ class RouterReport:
         event and request record: two runs are bit-identical iff these
         match.  Engine compile/cache-hit relays (and the raw sequence
         numbers they shift) are excluded, so a warm engine cache does
-        not change the fingerprint -- only routing behaviour does."""
-        data = self.to_dict(include_events=True, include_requests=True)
-        data["events"] = [
-            {key: value for key, value in event.items() if key != "seq"}
-            for event in data["events"]
-            if event["kind"] not in self._CACHE_KINDS
-        ]
+        not change the fingerprint -- only routing behaviour does.
+
+        The digest is fed piece by piece from :meth:`canonical_chunks`,
+        so neither the payload dict tree nor the whole string is ever
+        built."""
+        digest = hashlib.sha1()
+        for piece in self.canonical_chunks():
+            digest.update(piece.encode("utf-8"))
+        return digest.hexdigest()
+
+    def canonical_chunks(self) -> Iterator[str]:
+        """The document :meth:`fingerprint` hashes, in bounded pieces.
+
+        Joined, the pieces are exactly ``json.dumps(payload,
+        sort_keys=True, separators=(",", ":"))`` of
+        ``to_dict(include_events=True, include_requests=True)`` with
+        the cache-temperature filtering below applied; the record lists
+        are rendered chunk by chunk by
+        :func:`repro.serving.canonical.encode_report`."""
+        data = self.to_dict(include_events=False)
         data["event_counts"] = {
             kind: count
             for kind, count in data["event_counts"].items()
@@ -769,5 +745,150 @@ class RouterReport:
             if isinstance(prewarm, dict):
                 control["prewarm"] = {"requested": prewarm.get("requested")}
             data["control"] = control
-        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+        records = self._records()
+        return encode_report(
+            data,
+            {
+                "completed": records.completed_columns(),
+                "events": records.event_columns(self._CACHE_KINDS),
+                "rejected": records.rejected_columns(),
+            },
+        )
+
+
+class ObjectRecords:
+    """Record source over a report's materialized object lists.
+
+    The reference path: every aggregate is computed from the
+    ``CompletedRequest`` / ``RejectedRequest`` / ``RouterEvent``
+    objects, and the record columns the canonical encoder streams are
+    read off them chunk by chunk.  Reference-backend, chaos,
+    instrumented, merged and qualified reports always use it.  Its
+    methods are the record-source interface; the vectorized backend's
+    columnar source implements the same ones.
+    """
+
+    __slots__ = ("report",)
+
+    def __init__(self, report: RouterReport) -> None:
+        self.report = report
+
+    def n_completed(self) -> int:
+        return len(self.report.completed)
+
+    def n_rejected(self) -> int:
+        return len(self.report.rejected)
+
+    def deadline_hits(self) -> int:
+        return sum(1 for record in self.report.completed if record.deadline_hit)
+
+    def mean_soc(self) -> float:
+        completed = self.report.completed
+        if not completed:
+            return 0.0
+        return sum(r.soc.value for r in completed) / len(completed)
+
+    def latencies(self) -> List[float]:
+        """Completed-request latencies in rid order."""
+        return [r.latency_s for r in self.report.completed]
+
+    def event_counts(self) -> Dict[str, int]:
+        return self.report.events.counts
+
+    def per_tenant(self) -> List[TenantStats]:
+        """Tenant aggregates, sorted by tenant name."""
+        tenants: Dict[str, dict] = {}
+
+        def bucket(name: str, priority: int) -> dict:
+            if name not in tenants:
+                tenants[name] = {
+                    "priority": priority,
+                    "completed": [],
+                    "rejected": 0,
+                }
+            return tenants[name]
+
+        for record in self.report.completed:
+            bucket(
+                record.request.tenant.name, record.request.tenant.priority
+            )["completed"].append(record)
+        for record in self.report.rejected:
+            bucket(
+                record.request.tenant.name, record.request.tenant.priority
+            )["rejected"] += 1
+        stats = []
+        for name in sorted(tenants):
+            data = tenants[name]
+            done = data["completed"]
+            offered = len(done) + data["rejected"]
+            stats.append(
+                TenantStats(
+                    tenant=name,
+                    priority=data["priority"],
+                    offered=offered,
+                    completed=len(done),
+                    rejected=data["rejected"],
+                    deadline_hits=sum(1 for r in done if r.deadline_hit),
+                    mean_soc=(
+                        sum(r.soc.value for r in done) / len(done)
+                        if done
+                        else 0.0
+                    ),
+                    mean_latency_s=(
+                        sum(r.latency_s for r in done) / len(done)
+                        if done
+                        else 0.0
+                    ),
+                )
+            )
+        return stats
+
+    # -- canonical record columns (key order of repro.serving.canonical)
+    def completed_columns(self) -> Iterator[tuple]:
+        completed = self.report.completed
+        for start in range(0, len(completed), CHUNK):
+            chunk = completed[start:start + CHUNK]
+            requests = [r.request for r in chunk]
+            socs = [r.soc for r in chunk]
+            yield (
+                [q.arrival_s for q in requests],
+                [r.batch for r in chunk],
+                [r.deadline_hit for r in chunk],
+                [r.entropy for r in chunk],
+                [r.finish_s for r in chunk],
+                [r.latency_s for r in chunk],
+                [r.level for r in chunk],
+                [r.platform for r in chunk],
+                [q.rid for q in requests],
+                [s.value for s in socs],
+                [s.soc_accuracy for s in socs],
+                [s.soc_time for s in socs],
+                [r.start_s for r in chunk],
+                [q.tenant.name for q in requests],
+            )
+
+    def rejected_columns(self) -> Iterator[tuple]:
+        rejected = self.report.rejected
+        for start in range(0, len(rejected), CHUNK):
+            chunk = rejected[start:start + CHUNK]
+            requests = [r.request for r in chunk]
+            yield (
+                [q.arrival_s for q in requests],
+                [r.reason for r in chunk],
+                [q.rid for q in requests],
+                [q.tenant.name for q in requests],
+            )
+
+    def event_columns(self, skip_kinds: Sequence[str]) -> Iterator[tuple]:
+        return event_chunks(
+            (
+                event.time_s,
+                event.kind,
+                event.tenant,
+                event.platform,
+                event.request_ids,
+                event.detail,
+            )
+            for event in self.report.events
+            if event.kind not in skip_kinds
+        )

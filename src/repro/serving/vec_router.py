@@ -37,8 +37,11 @@ Two execution modes share one event loop:
   event while all queues are full -- are rejected in one
   ``bisect_right`` instead of per-request admission.  The returned
   :class:`VecRouterReport` materializes ``completed`` / ``rejected``
-  / ``events`` on first access.  This is where the ``>= 10x``
-  throughput on ``bench_router_overload`` comes from.
+  / ``events`` on first access, and answers its aggregates,
+  ``to_dict(include_events=False)`` and ``fingerprint()`` from
+  columns over the raw rows without materializing at all.  This is
+  where the ``>= 10x`` throughput on ``bench_router_overload`` comes
+  from.
 * **slow** (fault-injected and/or instrumented runs): the same loop
   eagerly materializes ``Request`` / ``InFlightBatch`` objects and
   calls every observability/resilience hook at the reference's exact
@@ -54,7 +57,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +66,7 @@ from repro.core.satisfaction import soc
 from repro.faults.events import FaultTrace
 from repro.faults.health import PlatformHealth
 from repro.obs.instrument import Instrumentation
+from repro.serving.canonical import CHUNK, encode_repeated, event_chunks
 from repro.serving.degradation import DegradationController
 from repro.serving.dispatch import InFlightBatch, PlatformState
 from repro.serving.events import EventLog, RouterEvent
@@ -70,11 +75,16 @@ from repro.serving.report import (
     RejectedRequest,
     ResilienceStats,
     RouterReport,
+    TenantStats,
 )
 from repro.serving.request import TenantLoad
 from repro.serving.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.vec.events import ArrivalColumns, SoAEventQueue
-from repro.sim.vec.scoring import soc_accuracy_vec
+from repro.sim.vec.scoring import (
+    soc_accuracy_vec,
+    soc_time_vec,
+    soc_value_vec,
+)
 
 __all__ = ["run_vectorized", "VecRouterReport"]
 
@@ -98,6 +108,15 @@ _E_MOVE = 4  # (code, t, pidx, move, level)        cause="backlog"
 _E_ADEG = 5  # (code, t, rid, pidx, level)         cause="admission"
 _E_REJR = 6  # (code, first_rid, end_rid)          a saturation burst
 _E_RAW = 9  # (code, kind, t, tenant, platform, rids, pairs)
+
+#: Event kind of every row code whose kind is fixed.
+_CODE_KINDS = {
+    _E_ENQ: "enqueue",
+    _E_REJ: "reject",
+    _E_DISP: "dispatch",
+    _E_COMP: "complete",
+    _E_ADEG: "degrade",
+}
 
 
 class _P:
@@ -194,13 +213,24 @@ class _P:
 class _VecRaw:
     """Deferred report ingredients of one vectorized run."""
 
-    __slots__ = ("cols", "flat", "completed_rows", "names")
+    __slots__ = ("cols", "flat", "completed_rows", "names", "_records")
 
     def __init__(self, cols, flat, completed_rows, names) -> None:
         self.cols = cols
         self.flat = flat
         self.completed_rows = completed_rows
         self.names = names
+        self._records = None
+
+    def records(self) -> Optional["_VecRecords"]:
+        """The columnar record source, built once per report; ``None``
+        when :meth:`_VecRecords.accepts` turns the rows down."""
+        if self._records is None:
+            # False marks "checked and refused", so the check runs once.
+            self._records = (
+                _VecRecords(self) if _VecRecords.accepts(self) else False
+            )
+        return self._records or None
 
     def completed(self) -> List[CompletedRequest]:
         out: List[CompletedRequest] = []
@@ -234,48 +264,55 @@ class _VecRaw:
         out.sort(key=lambda record: record.request.rid)
         return out
 
-    def rejected(self) -> List[RejectedRequest]:
-        rows = []
+    def rejections(self) -> Tuple[np.ndarray, List[str]]:
+        """Every rejected rid in rid order, with its reason."""
+        rids: List[int] = []
+        reasons: List[str] = []
+        bursts: List[np.ndarray] = []
         for row in self.flat:
             code = row[0]
             if code == _E_REJ:
-                rows.append((row[2], row[3]))
+                rids.append(row[2])
+                reasons.append(row[3])
             elif code == _E_REJR:
-                rows.extend((rid, "saturated") for rid in range(row[1], row[2]))
-        rows.sort()
+                bursts.append(np.arange(row[1], row[2], dtype=np.int64))
+        rejected = np.concatenate([np.array(rids, dtype=np.int64), *bursts])
+        reasons += ["saturated"] * (len(rejected) - len(rids))
+        order = np.argsort(rejected, kind="stable")
+        return rejected[order], [reasons[index] for index in order.tolist()]
+
+    def rejected(self) -> List[RejectedRequest]:
+        rids, reasons = self.rejections()
         request_at = self.cols.request_at
         return [
             RejectedRequest(request=request_at(rid), reason=reason)
-            for rid, reason in rows
+            for rid, reason in zip(rids.tolist(), reasons)
         ]
 
-    def events(self) -> EventLog:
+    def event_rows(self) -> Iterator[tuple]:
+        """Expand compact rows into ``(time_s, kind, tenant, platform,
+        request_ids, detail)`` tuples, in the exact shape the
+        reference records its events."""
         cols = self.cols
         arrivals = cols.arrivals_list
         tenant_index = cols.tenant_index_list
         tenant_names = [tenant.name for tenant in cols.tenants]
         names = self.names
-        out: List[RouterEvent] = []
-        append = out.append
-        seq = 0
         for row in self.flat:
             code = row[0]
             if code == _E_ENQ:
                 _, t, rid, pidx, level, value, latency = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="enqueue",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=names[pidx],
-                        request_ids=(rid,),
-                        detail={
-                            "level": level,
-                            "predicted_soc": value,
-                            "predicted_latency_s": latency,
-                        },
-                    )
+                yield (
+                    t,
+                    "enqueue",
+                    tenant_names[tenant_index[rid]],
+                    names[pidx],
+                    (rid,),
+                    {
+                        "level": level,
+                        "predicted_soc": value,
+                        "predicted_latency_s": latency,
+                    },
                 )
             elif code == _E_REJ:
                 rid = row[2]
@@ -285,100 +322,306 @@ class _VecRaw:
                     pidx = row[4]
                     platform = names[pidx] if pidx is not None else None
                     detail.update(row[5])
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=row[1],
-                        kind="reject",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=platform,
-                        request_ids=(rid,),
-                        detail=detail,
-                    )
+                yield (
+                    row[1],
+                    "reject",
+                    tenant_names[tenant_index[rid]],
+                    platform,
+                    (rid,),
+                    detail,
                 )
             elif code == _E_REJR:
                 for rid in range(row[1], row[2]):
-                    append(
-                        RouterEvent(
-                            seq=seq,
-                            time_s=arrivals[rid],
-                            kind="reject",
-                            tenant=tenant_names[tenant_index[rid]],
-                            platform=None,
-                            request_ids=(rid,),
-                            detail={"reason": "saturated"},
-                        )
+                    yield (
+                        arrivals[rid],
+                        "reject",
+                        tenant_names[tenant_index[rid]],
+                        None,
+                        (rid,),
+                        {"reason": "saturated"},
                     )
-                    seq += 1
-                continue
             elif code == _E_DISP:
                 _, t, pidx, rids, level, take, capacity, finish = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="dispatch",
-                        platform=names[pidx],
-                        request_ids=rids,
-                        detail={
-                            "level": level,
-                            "batch": take,
-                            "capacity": capacity,
-                            "finish_s": finish,
-                        },
-                    )
+                yield (
+                    t,
+                    "dispatch",
+                    None,
+                    names[pidx],
+                    rids,
+                    {
+                        "level": level,
+                        "batch": take,
+                        "capacity": capacity,
+                        "finish_s": finish,
+                    },
                 )
             elif code == _E_COMP:
                 _, t, pidx, rids, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="complete",
-                        platform=names[pidx],
-                        request_ids=rids,
-                        detail={"level": level},
-                    )
-                )
+                yield (t, "complete", None, names[pidx], rids, {"level": level})
             elif code == _E_MOVE:
                 _, t, pidx, move, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind=move,
-                        platform=names[pidx],
-                        detail={"cause": "backlog", "level": level},
-                    )
+                yield (
+                    t,
+                    move,
+                    None,
+                    names[pidx],
+                    (),
+                    {"cause": "backlog", "level": level},
                 )
             elif code == _E_ADEG:
                 _, t, rid, pidx, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="degrade",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=names[pidx],
-                        request_ids=(rid,),
-                        detail={"cause": "admission", "level": level},
-                    )
+                yield (
+                    t,
+                    "degrade",
+                    tenant_names[tenant_index[rid]],
+                    names[pidx],
+                    (rid,),
+                    {"cause": "admission", "level": level},
                 )
             else:  # _E_RAW
                 _, kind, t, tenant, platform, rids, pairs = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind=kind,
-                        tenant=tenant,
-                        platform=platform,
-                        request_ids=rids,
-                        detail=dict(pairs),
-                    )
+                yield (t, kind, tenant, platform, rids, dict(pairs))
+
+    def events(self) -> EventLog:
+        return EventLog.from_events(
+            [
+                RouterEvent(
+                    seq=seq,
+                    time_s=t,
+                    kind=kind,
+                    tenant=tenant,
+                    platform=platform,
+                    request_ids=rids,
+                    detail=detail,
                 )
-            seq += 1
-        return EventLog.from_events(out)
+                for seq, (t, kind, tenant, platform, rids, detail) in enumerate(
+                    self.event_rows()
+                )
+            ]
+        )
+
+
+class _VecRecords:
+    """Columnar record source over one fast-mode run's raw rows.
+
+    Answers every aggregate ``RouterReport`` reads and streams the
+    canonical record columns for ``fingerprint()`` straight from the
+    compact rows: no ``Request``, ``CompletedRequest``,
+    ``SoCBreakdown`` or ``RouterEvent`` is built.  Per-request columns
+    are numpy arrays in rid order, computed once with the reference's
+    exact float expressions (element-wise ``-``/``*``/``/`` round
+    exactly like the scalar ops); every sum is a builtin ``sum`` over
+    the same values in the same rid order as the object path.
+    """
+
+    def __init__(self, raw: _VecRaw) -> None:
+        self.raw = raw
+        self.tenants = raw.cols.tenants
+        self._build_completed(raw)
+        self._scan_flat(raw)
+
+    @staticmethod
+    def accepts(raw: _VecRaw) -> bool:
+        """Whether every tenant's time requirement is a plain Python
+        ``int``/``float``.  Only then are the object path's records
+        plain Python numbers too, the types these columns convert back
+        to: a caller's numpy scalar there would change how ``json``
+        treats a record (``numpy.bool_`` does not serialize) and how
+        ``sum`` adds it (Python 3.12 compensates exact floats only), so
+        such a report stays on the object path."""
+        number = (int, float)
+        return all(
+            type(tenant.requirement.imperceptible_s) in number
+            and type(tenant.requirement.unusable_s) in number
+            for tenant in raw.cols.tenants
+        )
+
+    def _build_completed(self, raw: _VecRaw) -> None:
+        cols = raw.cols
+        rows = raw.completed_rows
+        sizes = [len(row[0]) for row in rows]
+        total = sum(sizes)
+        rid = np.fromiter(
+            chain.from_iterable(row[0] for row in rows),
+            dtype=np.int64,
+            count=total,
+        )
+        platform_index = {name: index for index, name in enumerate(raw.names)}
+
+        def per_request(values, dtype):
+            return np.repeat(np.array(values, dtype=dtype), sizes)
+
+        pidx = per_request([platform_index[row[1]] for row in rows], np.int64)
+        level = per_request([row[2] for row in rows], np.int64)
+        take = per_request([row[3] for row in rows], np.int64)
+        start = per_request([row[4] for row in rows], np.float64)
+        finish = per_request([row[5] for row in rows], np.float64)
+        epi = per_request([row[6] for row in rows], np.float64)
+        ent = per_request([row[7] for row in rows], np.float64)
+        thr = per_request([row[8] for row in rows], np.float64)
+        tidx = cols.tenant_index[rid]
+        arrival = cols.arrivals[rid]
+        entropy = ent * cols.difficulty[rid]
+        runtime = finish - arrival
+        # ``soc()``'s argument checks, raised exactly as the object
+        # path would: the first offending request in completion order
+        # re-runs the scalar function, which raises its own error.
+        bad = (epi <= 0) | (runtime < 0) | (entropy < 0) | (thr <= 0)
+        if bad.any():
+            first = int(np.argmax(bad))
+            soc(
+                runtime_s=float(runtime[first]),
+                requirement=self.tenants[int(tidx[first])].requirement,
+                entropy=float(entropy[first]),
+                entropy_threshold=float(thr[first]),
+                energy_joules=float(epi[first]),
+            )
+        imperceptible = np.array(
+            [t.requirement.imperceptible_s for t in self.tenants] or [0.0],
+            dtype=np.float64,
+        )[tidx]
+        unusable = np.array(
+            [t.requirement.unusable_s for t in self.tenants] or [0.0],
+            dtype=np.float64,
+        )[tidx]
+        soc_time = soc_time_vec(runtime, imperceptible, unusable)
+        soc_accuracy = soc_accuracy_vec(entropy, thr)
+        order = np.argsort(rid, kind="stable")
+        self.rid = rid[order]
+        self.tidx = tidx[order]
+        self.pidx = pidx[order]
+        self.level = level[order]
+        self.take = take[order]
+        self.arrival = arrival[order]
+        self.start = start[order]
+        self.finish = finish[order]
+        self.latency = runtime[order]
+        self.hit = (finish <= cols.deadlines[rid])[order]
+        self.entropy = entropy[order]
+        self.soc = soc_value_vec(soc_time, soc_accuracy, epi)[order]
+        self.soc_time = soc_time[order]
+        self.soc_accuracy = soc_accuracy[order]
+
+    def _scan_flat(self, raw: _VecRaw) -> None:
+        """Event counts per kind from the compact rows, and the
+        rejected requests."""
+        counts = dict.fromkeys(EventLog.KINDS, 0)
+        for row in raw.flat:
+            code = row[0]
+            if code == _E_REJR:
+                counts["reject"] += row[2] - row[1]
+            elif code == _E_MOVE:
+                counts[row[3]] += 1
+            elif code == _E_RAW:
+                counts[row[1]] += 1
+            else:
+                counts[_CODE_KINDS[code]] += 1
+        self.counts = counts
+        self.rejected, self.rejected_reasons = raw.rejections()
+        self.rejected_tidx = raw.cols.tenant_index[self.rejected]
+
+    # -- aggregates ------------------------------------------------------
+    def n_completed(self) -> int:
+        return len(self.rid)
+
+    def n_rejected(self) -> int:
+        return len(self.rejected)
+
+    def deadline_hits(self) -> int:
+        return int(self.hit.sum())
+
+    def mean_soc(self) -> float:
+        if not len(self.soc):
+            return 0.0
+        return sum(self.soc.tolist()) / len(self.soc)
+
+    def latencies(self) -> List[float]:
+        return self.latency.tolist()
+
+    def event_counts(self) -> Dict[str, int]:
+        return dict(self.counts)
+
+    def per_tenant(self) -> List[TenantStats]:
+        stats = []
+        by_name = sorted(
+            range(len(self.tenants)), key=lambda index: self.tenants[index].name
+        )
+        for index in by_name:
+            tenant = self.tenants[index]
+            done = self.tidx == index
+            n_done = int(done.sum())
+            n_rejected = int((self.rejected_tidx == index).sum())
+            if not n_done and not n_rejected:
+                continue
+            stats.append(
+                TenantStats(
+                    tenant=tenant.name,
+                    priority=tenant.priority,
+                    offered=n_done + n_rejected,
+                    completed=n_done,
+                    rejected=n_rejected,
+                    deadline_hits=int(self.hit[done].sum()),
+                    mean_soc=(
+                        sum(self.soc[done].tolist()) / n_done
+                        if n_done
+                        else 0.0
+                    ),
+                    mean_latency_s=(
+                        sum(self.latency[done].tolist()) / n_done
+                        if n_done
+                        else 0.0
+                    ),
+                )
+            )
+        return stats
+
+    # -- canonical record columns (key order of repro.serving.canonical)
+    def completed_columns(self) -> Iterator[tuple]:
+        # Batch times repeat across a batch and the entropy and SoC
+        # columns across a rung, so those render each distinct value
+        # once (80-99% of a chunk's values repeat on the benchmark's
+        # storm); arrivals and latencies are nearly all distinct.
+        tenant_names = [tenant.name for tenant in self.tenants]
+        names = self.raw.names
+        for start in range(0, len(self.rid), CHUNK):
+            window = slice(start, start + CHUNK)
+            yield (
+                self.arrival[window],
+                self.take[window],
+                self.hit[window],
+                encode_repeated(self.entropy[window]),
+                encode_repeated(self.finish[window]),
+                self.latency[window],
+                self.level[window],
+                [names[index] for index in self.pidx[window].tolist()],
+                self.rid[window],
+                encode_repeated(self.soc[window]),
+                encode_repeated(self.soc_accuracy[window]),
+                encode_repeated(self.soc_time[window]),
+                encode_repeated(self.start[window]),
+                [tenant_names[index] for index in self.tidx[window].tolist()],
+            )
+
+    def rejected_columns(self) -> Iterator[tuple]:
+        tenant_names = [tenant.name for tenant in self.tenants]
+        arrivals = self.raw.cols.arrivals
+        for start in range(0, len(self.rejected), CHUNK):
+            window = slice(start, start + CHUNK)
+            rids = self.rejected[window]
+            yield (
+                arrivals[rids],
+                self.rejected_reasons[window],
+                rids,
+                [tenant_names[index] for index in self.rejected_tidx[
+                    window].tolist()],
+            )
+
+    def event_columns(self, skip_kinds: Sequence[str]) -> Iterator[tuple]:
+        return event_chunks(
+            event
+            for event in self.raw.event_rows()
+            if event[1] not in skip_kinds
+        )
 
 
 class _LazyField:
@@ -399,15 +642,20 @@ class _LazyField:
         return value
 
 
+_LAZY_FIELDS = frozenset(("completed", "rejected", "events"))
+
+
 class VecRouterReport(RouterReport):
     """A ``RouterReport`` whose per-request lists and event log are
     materialized lazily from fast-mode raw rows.
 
     Everything a fleet-level consumer typically reads first
     (``platforms``, ``horizon_s``) is eager; ``completed`` /
-    ``rejected`` / ``events`` -- and therefore ``fingerprint()`` /
-    ``to_dict()`` -- force materialization on demand and are
-    bit-identical to the reference backend's.  Constructed with
+    ``rejected`` / ``events`` materialize on demand and are
+    bit-identical to the reference backend's.  Until one of them does,
+    the aggregates, ``to_dict(include_events=False)`` and
+    ``fingerprint()`` read the columnar :class:`_VecRecords` source
+    instead, with byte-identical results.  Constructed with
     keyword arguments only (``dataclasses.replace`` and
     :meth:`RouterReport.merge` keep working: without ``_vec_raw`` the
     class behaves exactly like its dataclass base).
@@ -428,6 +676,17 @@ class VecRouterReport(RouterReport):
         self.obs = None
         self.control = None
         self.merged_from = None
+
+    def _records(self):
+        # The columnar source only while nothing is materialized: once
+        # any lazy field sits in the instance dict, the objects are
+        # authoritative and the reference path reads them.
+        raw = self.__dict__.get("_vec_raw")
+        if raw is not None and _LAZY_FIELDS.isdisjoint(self.__dict__):
+            records = raw.records()
+            if records is not None:
+                return records
+        return super()._records()
 
     def __getstate__(self):
         # Force materialization before crossing a process boundary

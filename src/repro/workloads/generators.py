@@ -35,7 +35,8 @@ __all__ = [
 class RequestTrace:
     """A stream of inference requests.
 
-    ``arrivals_s`` are monotonically non-decreasing timestamps;
+    ``arrivals_s`` are finite, non-negative, monotonically
+    non-decreasing timestamps;
     ``difficulty`` is a per-request multiplier (>= 1 means harder than
     calibration) applied to the tuning-time entropy.
     """
@@ -46,6 +47,12 @@ class RequestTrace:
     def __post_init__(self) -> None:
         if self.arrivals_s.shape != self.difficulty.shape:
             raise ValueError("arrivals and difficulty must align")
+        # Checked before ordering: NaN compares False, so a non-finite
+        # clock would slip through the non-decreasing test below.
+        if not np.all(np.isfinite(self.arrivals_s)):
+            raise ValueError("arrivals_s must be finite (no NaN or inf)")
+        if np.any(self.arrivals_s < 0):
+            raise ValueError("arrivals_s must be non-negative")
         if np.any(np.diff(self.arrivals_s) < 0):
             raise ValueError("arrivals must be non-decreasing")
 

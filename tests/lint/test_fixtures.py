@@ -35,6 +35,12 @@ GOLDEN = {
         ("REP003", 18),   # dumps without sort_keys
         ("REP003", 22),   # keys() in a list comp
     ],
+    "rep003_encoder_bad.py": [
+        ("REP003", 5),    # values() in an encode_* list comp
+        ("REP003", 9),    # set iteration in a private _encode_* helper
+        ("REP003", 14),   # unsorted items() in canonical_*
+        ("REP003", 19),   # keys() in a record-source column method
+    ],
     "rep004_bad.py": [
         ("REP004", 5),    # ms + s
         ("REP004", 9),    # J - mJ
@@ -80,6 +86,7 @@ CLEAN = [
     "rep001_outside.py",
     "rep002_good.py",
     "rep003_good.py",
+    "rep003_encoder_good.py",
     "rep004_good.py",
     "cycle_pkg/gamma.py",
     "cycle_pkg/delta.py",

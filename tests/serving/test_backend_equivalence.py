@@ -30,6 +30,10 @@ from repro.serving import (
 )
 from repro.serving.shard import ShardSpec
 from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
+from tests.serving.test_canonical_fingerprint import (
+    oracle_payload,
+    streamed_payload,
+)
 
 #: Arrival rate used by the fixed-rate differential traces; high
 #: enough to overload the two-platform AlexNet fleet and exercise the
@@ -120,6 +124,28 @@ class TestTraceFamilies:
         )
         ref, vec = _run_both(fleet, loads, faults=faults)
         assert vec.fingerprint() == ref.fingerprint()
+
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        family=st.sampled_from(["mmpp", "pareto", "diurnal"]),
+        n=st.integers(min_value=0, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        name=st.text(min_size=1, max_size=12),
+    )
+    def test_streamed_payload_byte_identical(
+        self, fleet, family, n, seed, name
+    ):
+        """The fresh vectorized report streams its payload from raw
+        rows; the reference streams it from objects; both must equal
+        the one-string ``json.dumps`` oracle byte for byte, whatever
+        the tenant's name (quotes, escapes, non-ASCII) or trace size
+        (empty included)."""
+        tenant = Tenant(name, SNAPPY.requirement, priority=1)
+        loads = [TenantLoad(tenant, _trace(family, n, seed))]
+        ref, vec = _run_both(fleet, loads)
+        streamed = streamed_payload(vec)
+        assert streamed == streamed_payload(ref) == oracle_payload(ref)
 
 
 class TestConfigMatrix:

@@ -193,6 +193,7 @@ class TestBatchedScores:
 
 class TestSocCurves:
     REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
+    BOUNDS = (REQUIREMENT.imperceptible_s, REQUIREMENT.unusable_s)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -202,7 +203,7 @@ class TestSocCurves:
         )
     )
     def test_soc_time_elementwise(self, runtimes):
-        vec = soc_time_vec(np.asarray(runtimes), self.REQUIREMENT)
+        vec = soc_time_vec(np.asarray(runtimes), *self.BOUNDS)
         scalar = [soc_time(r, self.REQUIREMENT) for r in runtimes]
         assert vec.tolist() == scalar
 
@@ -225,7 +226,7 @@ class TestSocCurves:
         runtimes = np.asarray([0.05, 0.2, 0.7])
         entropies = np.asarray([0.5, 1.5, 3.0])
         value = soc_value_vec(
-            soc_time_vec(runtimes, self.REQUIREMENT),
+            soc_time_vec(runtimes, *self.BOUNDS),
             soc_accuracy_vec(entropies, 1.0),
             energy_joules=2.0,
         )
@@ -237,7 +238,7 @@ class TestSocCurves:
 
     def test_validation_matches_scalar_contract(self):
         with pytest.raises(ValueError):
-            soc_time_vec(np.asarray([-0.1]), self.REQUIREMENT)
+            soc_time_vec(np.asarray([-0.1]), *self.BOUNDS)
         with pytest.raises(ValueError):
             soc_accuracy_vec(np.asarray([1.0]), 0.0)
         with pytest.raises(ValueError):

@@ -102,6 +102,27 @@ class TestTraces:
                 difficulty=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [
+            # NaN compares False, so it used to pass the ordering check
+            # and crash the vectorized router downstream.
+            ([0.0, np.nan, 0.02, 0.03], "finite"),
+            # A trailing inf is "non-decreasing" but never arrives; the
+            # vectorized router silently dropped such requests.
+            ([0.0, 0.01, np.inf, np.inf], "finite"),
+            ([-np.inf, 0.0, 0.01], "finite"),
+            ([-1.0, 0.0, 0.01], "non-negative"),
+        ],
+    )
+    def test_trace_rejects_bad_clocks(self, arrivals, message):
+        with pytest.raises(ValueError, match=message) as info:
+            RequestTrace(
+                arrivals_s=np.array(arrivals),
+                difficulty=np.ones(len(arrivals)),
+            )
+        assert "arrivals_s" in str(info.value)
+
 
 class TestBurstyTraces:
     """Property tests for the heavy-tail / bursty arrival processes."""
