@@ -2,21 +2,23 @@
 
 Measures the serving stack's three flagship scenarios and records the
 numbers in ``benchmarks/results/BENCH_perf_trajectory.json`` so the
-vectorized backend's speedups are *measured every PR*, not asserted
-once:
+router loop's speedups over the reference-loop oracle
+(``tests/serving/oracle``) are *measured every PR*, not asserted
+once.  The ``vectorized`` rows time the router loop, the
+``reference`` rows the oracle:
 
 * **router_overload** -- :mod:`bench_router_overload`'s MMPP storm
-  served by both backends, best-of-``ROUNDS`` wall clock, fingerprints
+  served by both loops, best-of-``ROUNDS`` wall clock, fingerprints
   asserted bit-identical.  This is the scenario the regression gate
   watches: the run fails if the measured reference/vectorized speedup
   drops more than ``MAX_SPEEDUP_REGRESSION`` below the committed
   same-mode baseline.
 * **fleet_shards** -- a 2-shard inline :class:`FleetCoordinator` run
-  per backend (inline so the measurement is the routers, not process
-  spawn), merged fingerprints asserted equal across backends.
+  per loop (inline so the measurement is the routers, not process
+  spawn), merged fingerprints asserted equal across loops.
 * **control_whatif** -- :func:`repro.control.run_whatif` on the
-  overload storm with the EWMA storm controller (reference backend
-  only: the control plane is reference-only by design).
+  overload storm with the EWMA storm controller, on the router loop
+  only.
 
 Every scenario records requests/sec, wall-time normalized to 1M
 simulated requests, and peak RSS (``resource.getrusage`` -- process
@@ -51,6 +53,7 @@ from common import RESULTS_DIR, emit, run_once
 from repro.analysis import format_table
 from repro.control import run_whatif
 from repro.serving import FleetCoordinator, RouterConfig
+from tests.serving.oracle import reference_loop
 
 SCHEMA_VERSION = 1
 
@@ -68,12 +71,13 @@ ROUNDS = 5
 #: at most this fraction below the committed same-mode baseline.
 MAX_SPEEDUP_REGRESSION = 0.10
 
-#: Scenario keys every mode entry must carry, with the backends each
-#: records.
+#: Scenario keys every mode entry must carry, with the loops each
+#: records (``reference``: the test oracle; ``vectorized``: the
+#: router loop).
 SCENARIO_BACKENDS = {
     "router_overload": ("reference", "vectorized"),
     "fleet_shards": ("reference", "vectorized"),
-    "control_whatif": ("reference",),
+    "control_whatif": ("vectorized",),
 }
 
 #: Numeric fields every per-backend record must carry.
@@ -126,17 +130,22 @@ def measure_trajectory(quick):
     shard_fingerprints = {}
     for backend in SCENARIO_BACKENDS["fleet_shards"]:
         coordinator = FleetCoordinator(
-            fleet_spec, RouterConfig(), n_shards=2, seed=SEED,
-            inline=True, backend=backend,
+            fleet_spec, RouterConfig(), n_shards=2, seed=SEED, inline=True,
         )
-        start = time.perf_counter()
-        outcome = coordinator.run(shard_loads=shard_loads)
-        wall_s = time.perf_counter() - start
+        if backend == "reference":
+            with reference_loop():
+                start = time.perf_counter()
+                outcome = coordinator.run(shard_loads=shard_loads)
+                wall_s = time.perf_counter() - start
+        else:
+            start = time.perf_counter()
+            outcome = coordinator.run(shard_loads=shard_loads)
+            wall_s = time.perf_counter() - start
         shard_entry[backend] = _record(2 * n_per_shard, wall_s)
         shard_fingerprints[backend] = outcome.report.fingerprint()
     assert (
         shard_fingerprints["vectorized"] == shard_fingerprints["reference"]
-    ), "backends diverged on the sharded fleet"
+    ), "the router loop diverged from the oracle on the sharded fleet"
     shard_entry["speedup"] = (
         shard_entry["reference"]["wall_s"]
         / shard_entry["vectorized"]["wall_s"]
@@ -151,7 +160,7 @@ def measure_trajectory(quick):
     wall_s = time.perf_counter() - start
     # One what-if serves each request twice (reactive + predictive).
     scenarios["control_whatif"] = {
-        "reference": _record(2 * n_router, wall_s),
+        "vectorized": _record(2 * n_router, wall_s),
     }
 
     return {"scenarios": scenarios}
@@ -291,6 +300,6 @@ def test_bench_perf_trajectory(benchmark, quick):
     if baseline is not None:
         floor = baseline * (1.0 - MAX_SPEEDUP_REGRESSION)
         assert speedup >= floor, (
-            "vectorized backend regressed: %.2fx vs committed %.2fx "
+            "router loop regressed: %.2fx vs committed %.2fx "
             "(floor %.2fx)" % (speedup, baseline, floor)
         )

@@ -9,6 +9,9 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The repository root, for the reference-loop oracle the speedup
+# benches time against (``tests/serving/oracle``).
+sys.path.insert(1, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pytest
 
@@ -44,14 +47,6 @@ def pytest_addoption(parser):
         help="shard count the fleet-sharding bench scales to in "
         "--quick mode (full mode sweeps 1/2/4/8)",
     )
-    parser.addoption(
-        "--backend",
-        choices=["reference", "vectorized"],
-        default="reference",
-        help="router backend the serving benches route through; "
-        "fingerprints are bit-identical either way, so every "
-        "assertion stays armed",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -65,13 +60,6 @@ def shards(request):
     """The --shards option: quick-mode shard count for the sharding
     bench."""
     return request.config.getoption("--shards")
-
-
-@pytest.fixture(scope="session")
-def router_backend(request):
-    """The --backend option: which router event loop the serving
-    benches exercise."""
-    return request.config.getoption("--backend")
 
 
 @pytest.fixture(scope="session")

@@ -83,7 +83,6 @@ from repro.obs import (
 from repro.resilience import ProcFaultPlan, SupervisorConfig
 from repro.schedulers import compare_schedulers, make_context
 from repro.serving import (
-    ROUTER_BACKENDS,
     FleetCoordinator,
     FleetSpec,
     RequestRouter,
@@ -242,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="predictive control plane: per-tenant arrival forecasting "
         "with plan pre-warm, proactive degradation and DVFS "
         "(default: off, purely reactive serving)",
-    )
-    serve.add_argument(
-        "--backend", choices=list(ROUTER_BACKENDS), default="reference",
-        help="router event-loop implementation: the object-per-event "
-        "reference or its struct-of-arrays vectorized twin; same-seed "
-        "fingerprints are bit-identical either way (default: "
-        "reference)",
     )
     serve.add_argument(
         "--no-degradation", action="store_true",
@@ -687,7 +679,6 @@ def _serve_fleet_sharded(args, spec, platforms, offered, config,
         supervision=supervision,
         proc_faults=proc_faults,
         resume_dir=args.resume_dir,
-        backend=args.backend,
     )
     outcome = coordinator.run(
         shard_loads=shard_loads, faults=faults, instrument=instrument
@@ -776,14 +767,6 @@ def _cmd_serve_fleet(args) -> int:
     controller = None
     if args.controller != "off":
         controller = ControllerConfig(kind=args.controller)
-    if controller is not None and args.backend == "vectorized":
-        print(
-            "serve-fleet: --controller requires --backend reference "
-            "(the vectorized backend does not support a control plane)",
-            file=sys.stderr,
-        )
-        return 2
-
     outcome = None
     supervised = (
         args.proc_chaos
@@ -833,7 +816,7 @@ def _cmd_serve_fleet(args) -> int:
                 seed=args.chaos_seed,
             )
         obs = _obs_for(args)
-        report = RequestRouter(fleet, config, backend=args.backend).run(
+        report = RequestRouter(fleet, config).run(
             loads, faults, obs=obs,
             controller=controller.build() if controller is not None else None,
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Sequence, Tuple
 
@@ -83,6 +84,12 @@ class FaultEvent:
             raise ValueError(
                 "unknown fault kind %r (known: %s)"
                 % (self.kind, ", ".join(FAULT_KINDS))
+            )
+        # Checked before the sign: NaN compares False, so a NaN time
+        # would otherwise pass as non-negative.
+        if not math.isfinite(self.time_s):
+            raise ValueError(
+                "time_s must be finite (no NaN or inf), got %r" % (self.time_s,)
             )
         if self.time_s < 0:
             raise ValueError("time_s must be non-negative, got %r" % (self.time_s,))

@@ -8,10 +8,10 @@ tenants is routed across every platform of a
 discrete-event router that
 
 * admits or rejects requests against bounded per-platform queues and
-  per-tenant deadlines (:mod:`repro.serving.admission`),
+  per-tenant deadlines,
 * scores candidate (platform, batch-plan, perforation-level)
   assignments by predicted SoC and routes each request to the best one
-  (:mod:`repro.serving.dispatch`),
+  (:mod:`repro.serving.router`, :mod:`repro.serving.dispatch`),
 * degrades gracefully under overload by stepping each platform down a
   ladder of faster-but-coarser operating points -- larger batches plus
   heavier perforation -- and stepping back up as the backlog drains,
@@ -29,13 +29,11 @@ re-dispatch off dead platforms (:mod:`repro.serving.resilience`),
 with recovery metrics reported as :class:`ResilienceStats`.
 
 Everything is simulated time: the router is bit-identical across runs
-with the same seed and configuration.  Two interchangeable backends
-implement the event loop -- the object-per-event ``"reference"``
-implementation and the struct-of-arrays ``"vectorized"`` twin
-(:mod:`repro.serving.vec_router`), selected per router via
-``RequestRouter(..., backend=...)``; same-seed fingerprints are
-bit-identical across backends (``tests/serving/
-test_backend_equivalence.py``).
+with the same seed and configuration.  One struct-of-arrays event loop
+(:mod:`repro.serving.vec_router`) serves every run, controller and
+fault-injected runs included; a test-only copy of the original
+object-per-event loop pins its fingerprints
+(``tests/serving/test_backend_equivalence.py``).
 
 The shard layer (:mod:`repro.serving.shard`) scales one router into a
 fleet of fleets: a :class:`FleetCoordinator` launches N router shards
@@ -45,19 +43,13 @@ fingerprinted global ledger -- same-seed merged fingerprints are
 bit-identical at any shard count.
 """
 
-from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.degradation import (
     DegradationController,
     DegradationLadder,
     DegradationRung,
     escalate_perforation,
 )
-from repro.serving.dispatch import (
-    Candidate,
-    Dispatcher,
-    InFlightBatch,
-    PlatformState,
-)
+from repro.serving.dispatch import InFlightBatch, PlatformState
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
@@ -85,16 +77,12 @@ from repro.serving.shard import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
     "BREAKER_STATES",
-    "Candidate",
     "CircuitBreaker",
     "CompletedRequest",
     "DegradationController",
     "DegradationLadder",
     "DegradationRung",
-    "Dispatcher",
     "EventLog",
     "FleetCoordinator",
     "FleetRunOutcome",

@@ -209,6 +209,12 @@ class DegradationLadder:
                 )
             )
 
+    def is_materialized(self, level: int) -> bool:
+        """Whether reading ``level`` compiles nothing: the rung exists,
+        or the ladder has no shape left to materialize (so deeper
+        levels clamp to the deepest real rung)."""
+        return level < len(self.rungs) or len(self.rungs) > len(self._shapes)
+
     def all_rungs(self) -> List[DegradationRung]:
         """Every reachable rung, materializing any still pending."""
         self._materialize_to(len(self._shapes))

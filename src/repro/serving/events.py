@@ -12,7 +12,7 @@ guarantee is asserted by fingerprinting it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["RouterEvent", "EventLog"]
 
@@ -110,7 +110,7 @@ class EventLog:
         return event
 
     @classmethod
-    def from_events(cls, events: "Sequence[RouterEvent]") -> "EventLog":
+    def from_events(cls, events: "Iterable[RouterEvent]") -> "EventLog":
         """Rebuild a log from existing events, renumbering sequence ids.
 
         The merge/qualification paths construct transformed copies of

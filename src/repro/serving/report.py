@@ -32,7 +32,25 @@ __all__ = [
     "ResilienceStats",
     "RouterReport",
     "ObjectRecords",
+    "check_conservation",
 ]
+
+
+def check_conservation(
+    expected: int, completed: int, rejected: int, where: str
+) -> None:
+    """Postcondition of every routing run: each input request ends
+    exactly once, completed or rejected.
+
+    ``expected`` is the *input* count -- the loads' trace lengths --
+    never a count derived from the report itself, so a request that
+    vanishes inside a self-consistent report still fails the check.
+    """
+    if completed + rejected != expected:
+        raise RuntimeError(
+            "%s lost request conservation: %d completed + %d rejected "
+            "!= %d input requests" % (where, completed, rejected, expected)
+        )
 
 
 @dataclass(frozen=True)
@@ -759,13 +777,13 @@ class RouterReport:
 class ObjectRecords:
     """Record source over a report's materialized object lists.
 
-    The reference path: every aggregate is computed from the
+    The object path: every aggregate is computed from the
     ``CompletedRequest`` / ``RejectedRequest`` / ``RouterEvent``
     objects, and the record columns the canonical encoder streams are
-    read off them chunk by chunk.  Reference-backend, chaos,
-    instrumented, merged and qualified reports always use it.  Its
-    methods are the record-source interface; the vectorized backend's
-    columnar source implements the same ones.
+    read off them chunk by chunk.  Chaos, controlled, instrumented,
+    merged and qualified reports always use it.  Its methods are the
+    record-source interface; the router loop's fast-mode columnar
+    source implements the same ones.
     """
 
     __slots__ = ("report",)

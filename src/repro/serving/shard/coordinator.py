@@ -57,9 +57,13 @@ from repro.resilience import (
     SupervisorConfig,
     merge_records,
 )
-from repro.serving.report import RejectedRequest, RouterReport
+from repro.serving.report import (
+    RejectedRequest,
+    RouterReport,
+    check_conservation,
+)
 from repro.serving.request import Tenant, TenantLoad
-from repro.serving.router import ROUTER_BACKENDS, RouterConfig
+from repro.serving.router import RouterConfig, check_backend
 from repro.serving.shard.merge import (
     qualify_report,
     stitch_spans,
@@ -159,8 +163,11 @@ class FleetCoordinator:
         supervision: Optional[SupervisorConfig] = None,
         proc_faults: Optional[object] = None,
         resume_dir: Optional[str] = None,
-        backend: str = "reference",
+        backend: str = "vectorized",
     ) -> None:
+        # Validated before any process spawns; there is one router
+        # loop, so the shards are not told.
+        check_backend(backend)
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1, got %r" % (n_shards,))
         if max_workers is not None and max_workers < 1:
@@ -187,16 +194,6 @@ class FleetCoordinator:
             supervision if supervision is not None else SupervisorConfig()
         )
         self.proc_faults = proc_faults
-        #: Router backend every shard runs
-        #: (:data:`~repro.serving.router.ROUTER_BACKENDS`).  Validated
-        #: here rather than in the worker so a typo fails before any
-        #: process spawns.
-        if backend not in ROUTER_BACKENDS:
-            raise ValueError(
-                "unknown router backend %r (known: %s)"
-                % (backend, ", ".join(ROUTER_BACKENDS))
-            )
-        self.backend = backend
         self.checkpoint = (
             CheckpointStore(resume_dir) if resume_dir is not None else None
         )
@@ -250,7 +247,6 @@ class FleetCoordinator:
                 instrument=instrument,
                 controller=self.controller,
                 proc_faults=self.proc_faults,
-                backend=self.backend,
             )
             for shard_id in range(self.n_shards)
         ]
@@ -303,6 +299,12 @@ class FleetCoordinator:
                 for shard_id, report in enumerate(reports)
             ]
         merged = RouterReport.merge(reports)
+        check_conservation(
+            sum(load.trace.n_requests for piece in placed for load in piece),
+            merged.n_completed,
+            merged.n_rejected,
+            "fleet coordinator",
+        )
         supervision = SupervisionReport(records)
         statuses = self._statuses(records, escalated)
         self._attach_supervision_obs(merged, supervision, escalated)

@@ -1,61 +1,54 @@
-"""The vectorized router backend: a struct-of-arrays twin of
-:meth:`repro.serving.router.RequestRouter.run`.
+"""The router event loop, over struct-of-arrays state.
 
-The reference router is an object-per-event discrete-event loop:
-every arrival materializes a ``Request``, every heap entry is a
-Python tuple, every admission scores candidates through dataclass
-constructors, and the report is assembled eagerly.  This backend
-replays the *same* simulation over column-major state --
-:class:`repro.sim.vec.events.ArrivalColumns` for the request stream,
-:class:`repro.sim.vec.events.SoAEventQueue` for the dynamic events
-(frees, flush timers, retries, breaker probes), plain-Python mirrors
-of the per-platform hot fields, and per-(platform, rung) accuracy
-columns precomputed across the whole request vector with
-:func:`repro.sim.vec.scoring.soc_accuracy_vec`.
+:meth:`repro.serving.router.RequestRouter.run` calls
+:func:`run_vectorized`, which replays the discrete-event simulation
+over column-major state -- :class:`repro.sim.vec.events.ArrivalColumns`
+for the request stream, :class:`repro.sim.vec.events.SoAEventQueue`
+for the dynamic events (frees, flush timers, retries, breaker probes,
+control ticks), plain-Python mirrors of the per-platform hot fields,
+and per-(platform, rung) accuracy columns precomputed across the whole
+request vector with :func:`repro.sim.vec.scoring.soc_accuracy_vec`.
 
-Equivalence is the contract, not a goal: every float is produced by
-the reference's exact expression (same operand order, same
-association), every event is emitted at the reference's exact
-program point, and the merged arrival/fault/dynamic event streams
-replicate the reference heap's ``(time_s, push_seq)`` total order
-(arrivals take sequence numbers ``0..n-1``, faults ``n..n+f-1``,
-dynamic events everything after -- exactly how the reference pushes
-them).  Shared machinery is *reused*, not re-implemented: platform
-states come from ``router._build_states``, ladders re-target through
-``router._retarget_ladder``, and the real ``DegradationController``,
-``CircuitBreaker``, ``PlatformHealth`` and ``RetryPolicy`` objects
-drive their own state machines.  ``RouterReport.fingerprint()`` is
-therefore bit-identical to the reference backend on every seed --
-asserted by ``tests/serving/test_backend_equivalence.py``.
+The loop was derived from an object-per-event reference loop, which
+survives as a test-only oracle (``tests/serving/oracle``).  Every
+float is produced by the reference's exact expression (same operand
+order, same association), every event is emitted at the reference's
+exact program point, and the merged arrival/fault/dynamic event
+streams replicate the reference heap's ``(time_s, push_seq)`` total
+order (arrivals take sequence numbers ``0..n-1``, faults
+``n..n+f-1``, dynamic events everything after).  Shared machinery is
+reused: platform states come from ``router._build_states``, ladders
+re-target through ``router._retarget_ladder``, and the real
+``DegradationController``, ``CircuitBreaker``, ``PlatformHealth``,
+``RetryPolicy`` and ``ControlPlane`` objects drive their own state
+machines.  ``RouterReport.fingerprint()`` is therefore bit-identical
+to the oracle's on every seed -- asserted by
+``tests/serving/test_backend_equivalence.py`` and frozen in
+``tests/goldens/router_fingerprints.json``.
 
 Two execution modes share one event loop:
 
-* **fast** (no faults, instrumentation disabled): requests stay
-  virtual (integer row ids), events are compact kind-coded rows
-  expanded lazily, per-request SoC breakdowns are deferred, and whole
-  saturation bursts -- every arrival landing before the next dynamic
-  event while all queues are full -- are rejected in one
-  ``bisect_right`` instead of per-request admission.  The returned
-  :class:`VecRouterReport` materializes ``completed`` / ``rejected``
-  / ``events`` on first access, and answers its aggregates,
-  ``to_dict(include_events=False)`` and ``fingerprint()`` from
-  columns over the raw rows without materializing at all.  This is
-  where the ``>= 10x`` throughput on ``bench_router_overload`` comes
-  from.
-* **slow** (fault-injected and/or instrumented runs): the same loop
-  eagerly materializes ``Request`` / ``InFlightBatch`` objects and
-  calls every observability/resilience hook at the reference's exact
-  call sites, so chaos differential tests exercise genuine vectorized
-  code rather than a delegation shim.
-
-The control plane is not supported here (its tick cadence is
-inherently scalar); ``RequestRouter`` keeps routing controller runs
-to the reference backend.
+* **fast** (no faults, no controller, instrumentation disabled):
+  requests stay virtual (integer row ids), events are compact
+  kind-coded rows expanded lazily, per-request SoC breakdowns are
+  deferred, and whole saturation bursts -- every arrival landing
+  before the next dynamic event while all queues are full -- are
+  rejected in one ``bisect_right`` instead of per-request admission.
+  The returned :class:`VecRouterReport` materializes ``completed`` /
+  ``rejected`` / ``events`` on first access, and answers its
+  aggregates, ``to_dict(include_events=False)`` and ``fingerprint()``
+  from columns over the raw rows without materializing at all.
+* **tracked** (fault-injected, controlled and/or instrumented runs):
+  the same loop eagerly materializes ``Request`` / ``InFlightBatch``
+  objects, calls every observability/resilience hook at the
+  reference's exact call sites, and fires the control plane's ticks
+  as a fifth dynamic event kind.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -76,6 +69,7 @@ from repro.serving.report import (
     ResilienceStats,
     RouterReport,
     TenantStats,
+    check_conservation,
 )
 from repro.serving.request import TenantLoad
 from repro.serving.resilience import CircuitBreaker, RetryPolicy
@@ -91,11 +85,12 @@ __all__ = ["run_vectorized", "VecRouterReport"]
 _INF = math.inf
 
 # Dynamic-event kind codes (arrivals and faults ride their own
-# pre-sorted columns; only these four flow through the SoA heap).
+# pre-sorted columns; only these five flow through the SoA heap).
 _FREE = 0
 _FLUSH = 1
 _RETRY = 2
 _PROBE = 3
+_TICK = 4
 
 # Compact event-row codes.  The hot path appends one flat tuple per
 # event; :meth:`_VecRaw.events` expands them into ``RouterEvent``
@@ -120,15 +115,23 @@ _CODE_KINDS = {
 
 
 class _P:
-    """Hot per-platform mirror of a reference ``PlatformState``.
+    """Hot per-platform mirror of a ``PlatformState``.
 
-    The reference objects stay authoritative for everything the
-    report reads (cumulative accounting, controllers, breakers,
+    The ``PlatformState`` objects stay authoritative for everything
+    the report reads (cumulative accounting, controllers, breakers,
     health); this mirror caches what the inner loop touches per
     arrival -- the current level's (batch, exec, energy-per-item,
     accuracy-column) scalars, the busy horizon, and the queue as a
-    list of row ids.  The per-rung columns are re-read from
-    ``rung_at`` whenever a fault may have rescaled them.
+    list of row ids (the state's own list, so the control plane sees
+    it).  The per-level columns hold what ``rung_at`` returns and are
+    re-read whenever a fault or a DVFS command may have rescaled them.
+
+    A lazy ladder (controller runs) materializes a rung only where the
+    loop first reads it -- admission scoring, the rescue walk, or
+    dispatch -- so rungs compile at the same points, in the same
+    order, as a ladder read live.  Until then its columns hold
+    ``None``.  Levels past a ``min_gain`` truncation read the deepest
+    real rung, whose own level ``rl`` is what batches record.
     """
 
     __slots__ = (
@@ -150,6 +153,7 @@ class _P:
         "epi",
         "ent",
         "sa",
+        "rl",
         "cur_bl",
         "cur_el",
         "cur_epi",
@@ -164,41 +168,61 @@ class _P:
         self.ctrl = state.controller
         self.level = state.controller.level
         self.busy_until = 0.0
-        self.queue: List[int] = []
+        self.queue: List[int] = state.queue
         self.dirty = False
         self.pending_flush_at: Optional[float] = None
         self.ft = state.flush_timeout_s
         self.thr = state.deployment.entropy_threshold
-        self.n_levels = 0
-        self.exec_s: List[float] = []
-        self.batch: List[int] = []
-        self.energy: List[float] = []
-        self.epi: List[float] = []
-        self.ent: List[float] = []
-        self.sa: List[Optional[List[float]]] = []
+        # One slot per level the controller can reach (a truncated
+        # lazy ladder keeps its controller's original depth).
+        size = self.ctrl.n_levels
+        self.n_levels = len(state.ladder)
+        self.exec_s: List[Optional[float]] = [None] * size
+        self.batch: List[Optional[int]] = [None] * size
+        self.energy: List[Optional[float]] = [None] * size
+        self.epi: List[Optional[float]] = [None] * size
+        self.ent: List[Optional[float]] = [None] * size
+        self.sa: List[Optional[array]] = [None] * size
+        self.rl: List[Optional[int]] = [None] * size
         self.inflight: Optional[list] = None
 
     def rebuild(self) -> None:
-        """Re-snapshot the rung columns from ``rung_at`` (exactly what
-        the reference reads live); called at build time and after
-        every fault event on this platform, the only moments health
-        scaling or a ladder re-target can change them."""
-        state = self.state
-        n_levels = len(state.ladder)
-        rungs = [state.rung_at(level) for level in range(n_levels)]
-        entropies = [rung.entropy for rung in rungs]
-        if n_levels != self.n_levels or entropies != self.ent:
-            # Entropy columns feed the cached accuracy vectors; rungs
-            # never rescale entropy today, so this stays a no-op --
-            # but correctness must not depend on that staying true.
-            self.sa = [None] * n_levels
-        self.n_levels = n_levels
-        self.exec_s = [rung.exec_time_s for rung in rungs]
-        self.batch = [rung.batch for rung in rungs]
-        self.energy = [rung.energy_j for rung in rungs]
-        self.epi = [rung.energy_per_item_j for rung in rungs]
-        self.ent = entropies
+        """Re-snapshot every level ``rung_at`` answers without
+        compiling; called at build time, after every fault event on
+        this platform and after a control tick changed it -- the only
+        moments health scaling, DVFS or a ladder re-target can change
+        the columns."""
+        ladder = self.state.ladder
+        for level in range(len(self.batch)):
+            if ladder.is_materialized(level):
+                self.fill(level)
+            else:
+                self.exec_s[level] = self.batch[level] = None
+                self.energy[level] = self.epi[level] = None
+                self.ent[level] = self.sa[level] = self.rl[level] = None
+        self.n_levels = len(ladder)
         self.set_level(self.ctrl.level)
+
+    def fill(self, level: int) -> None:
+        """Read one level through ``rung_at``, materializing the rung
+        if the ladder is lazy."""
+        state = self.state
+        rung = state.rung_at(level)
+        if rung.entropy != self.ent[level]:
+            # Entropy feeds the cached accuracy column; rungs never
+            # rescale entropy today, so this only fires on first
+            # fill -- but correctness must not depend on that.
+            self.sa[level] = None
+        self.exec_s[level] = rung.exec_time_s
+        self.batch[level] = rung.batch
+        self.energy[level] = rung.energy_j
+        self.epi[level] = rung.energy_per_item_j
+        self.ent[level] = rung.entropy
+        self.rl[level] = rung.level
+        # A lazy materialization may have truncated the ladder.
+        self.n_levels = len(state.ladder)
+        if level == self.level:
+            self.set_level(level)
 
     def set_level(self, level: int) -> None:
         """Sync the current-level scalar caches (after every
@@ -383,21 +407,21 @@ class _VecRaw:
                 yield (t, kind, tenant, platform, rids, dict(pairs))
 
     def events(self) -> EventLog:
+        # A generator, not a list: ``from_events`` copies each event,
+        # so a list would hold the whole log twice at the peak.
         return EventLog.from_events(
-            [
-                RouterEvent(
-                    seq=seq,
-                    time_s=t,
-                    kind=kind,
-                    tenant=tenant,
-                    platform=platform,
-                    request_ids=rids,
-                    detail=detail,
-                )
-                for seq, (t, kind, tenant, platform, rids, detail) in enumerate(
-                    self.event_rows()
-                )
-            ]
+            RouterEvent(
+                seq=seq,
+                time_s=t,
+                kind=kind,
+                tenant=tenant,
+                platform=platform,
+                request_ids=rids,
+                detail=detail,
+            )
+            for seq, (t, kind, tenant, platform, rids, detail) in enumerate(
+                self.event_rows()
+            )
         )
 
 
@@ -652,7 +676,7 @@ class VecRouterReport(RouterReport):
     Everything a fleet-level consumer typically reads first
     (``platforms``, ``horizon_s``) is eager; ``completed`` /
     ``rejected`` / ``events`` materialize on demand and are
-    bit-identical to the reference backend's.  Until one of them does,
+    bit-identical to the object path's.  Until one of them does,
     the aggregates, ``to_dict(include_events=False)`` and
     ``fingerprint()`` read the columnar :class:`_VecRecords` source
     instead, with byte-identical results.  Constructed with
@@ -680,7 +704,7 @@ class VecRouterReport(RouterReport):
     def _records(self):
         # The columnar source only while nothing is materialized: once
         # any lazy field sits in the instance dict, the objects are
-        # authoritative and the reference path reads them.
+        # authoritative and the object path reads them.
         raw = self.__dict__.get("_vec_raw")
         if raw is not None and _LAZY_FIELDS.isdisjoint(self.__dict__):
             records = raw.records()
@@ -736,7 +760,7 @@ def _cached_states(router):
             or hit[1] != (deployment.power_gating, deployment.use_priority_sm)
         ):
             if rebuilt is None:
-                rebuilt = router._build_states(None, lazy=False)
+                rebuilt = router._build_states()
             state = rebuilt[name]
             cache[ladder_key] = (
                 deployment.current_entry,
@@ -781,17 +805,8 @@ def run_vectorized(
     obs: Optional[Instrumentation] = None,
     controller: Optional[object] = None,
 ) -> RouterReport:
-    """Serve every tenant's trace through the vectorized backend.
-
-    Accepts the reference :meth:`RequestRouter.run` signature minus
-    the control plane and returns a report whose fingerprint is
-    bit-identical to the reference backend's for the same inputs.
-    """
-    if controller is not None:
-        raise ValueError(
-            "the vectorized backend does not support a control plane; "
-            "use backend='reference' for controller runs"
-        )
+    """Serve every tenant's trace: the body of
+    :meth:`RequestRouter.run`, with its signature and report."""
     config = router.config
     if faults is not None:
         unknown = sorted(set(faults.platforms) - set(router.deployments))
@@ -802,9 +817,11 @@ def run_vectorized(
             )
     if obs is None:
         obs = Instrumentation.disabled()
-    # Fast mode: nothing to observe and nothing can fail, so health /
-    # breaker / obs hooks are all provably no-ops and get skipped.
-    track = faults is not None or obs.enabled
+    expected = sum(load.trace.n_requests for load in loads)
+    # Fast mode: nothing to observe, nothing can fail and nothing
+    # steers the fleet, so health / breaker / obs hooks are all
+    # provably no-ops and get skipped.
+    track = faults is not None or obs.enabled or controller is not None
 
     flat: List[tuple] = []
     flat_append = flat.append
@@ -813,7 +830,9 @@ def run_vectorized(
     unsubscribe = _subscribe_engines(router, flat, obs, now_ref)
     try:
         if track:
-            states = router._build_states(None, lazy=False)
+            # A controller's pre-warm decides which rungs compile
+            # ahead of dispatch, so its ladders stay lazy.
+            states = router._build_states(lazy=controller is not None)
         else:
             states = _cached_states(router)
         retry_policy = RetryPolicy(
@@ -883,6 +902,13 @@ def run_vectorized(
         dyn = SoAEventQueue(first_seq=n + nf)
         dyn_push = dyn.push
         dyn_peek = dyn.peek_time
+        last_arrival_s = arrivals[n - 1] if n else 0.0
+        if controller is not None:
+            controller.begin(states, 0.0)
+            # Pushed before any other dynamic event: the first tick
+            # takes sequence number n + f.
+            if controller.tick_s <= last_arrival_s:
+                dyn_push(controller.tick_s, _TICK, 0)
 
         completed: List[CompletedRequest] = []
         completed_rows: List[tuple] = []
@@ -896,13 +922,21 @@ def run_vectorized(
             "batch_failures": 0,
             "retries": 0,
             "failovers": 0,
+            "rejected": 0,
         }
         now = 0.0
 
-        def sa_fill(p: _P, level: int) -> List[float]:
-            column = soc_accuracy_vec(
-                p.ent[level] * cols.difficulty, p.thr
-            ).tolist()
+        def sa_fill(p: _P, level: int) -> array:
+            if p.batch[level] is None:
+                p.fill(level)
+            # A packed double array: indexing yields the exact Python
+            # float a list would hold, at a quarter of the memory.
+            column = array(
+                "d",
+                soc_accuracy_vec(
+                    p.ent[level] * cols.difficulty, p.thr
+                ).tobytes(),
+            )
             p.sa[level] = column
             if level == p.level:
                 p.cur_sa = column
@@ -912,7 +946,7 @@ def run_vectorized(
             rid: int,
             now: float,
             # Constants bound as defaults: LOAD_FAST beats LOAD_DEREF
-            # on the hottest function in the backend.
+            # on the hottest function in the loop.
             ps=ps,
             queue_limit=queue_limit,
             avail_check=avail_check,
@@ -923,12 +957,13 @@ def run_vectorized(
             t_span=t_span,
             has_deadline=has_deadline,
         ):
-            """Twin of ``AdmissionController.admit`` + ``Dispatcher
-            .choose``: returns ``(platform, level, latency, value,
-            reason)`` with ``platform=None`` on rejection.
+            """Admission: pick the best open platform under the
+            policy, rescuing an infeasible pick by degrading; returns
+            ``(platform, level, latency, value, reason)`` with
+            ``platform=None`` on rejection.
 
             The scan body is duplicated inline in ``on_arrival`` (the
-            hottest loop in the backend); any change here must land
+            hottest path in the loop); any change here must land
             there too -- the differential suite will catch a drift.
             The -inf/+inf seeds make the first open platform win its
             comparison exactly like the reference's first-candidate
@@ -949,6 +984,11 @@ def run_vectorized(
                     continue
                 if avail_check and not p.state.available(now):
                     continue
+                # The accuracy column first: filling it materializes a
+                # lazy rung, which is where a live ladder compiles it.
+                column = p.cur_sa
+                if column is None:
+                    column = sa_fill(p, p.level)
                 wait = p.busy_until - now
                 if wait < 0.0:
                     wait = 0.0
@@ -964,9 +1004,6 @@ def run_vectorized(
                     st = 0.0
                 else:
                     st = 1.0 - (latency - imp) / span
-                column = p.cur_sa
-                if column is None:
-                    column = sa_fill(p, p.level)
                 value = st * column[rid] / p.cur_epi
                 if fifo:
                     pick = latency < best_latency
@@ -1006,6 +1043,8 @@ def run_vectorized(
                     if wait < 0.0:
                         wait = 0.0
                     for level in range(p.level + 1, p.n_levels):
+                        if p.batch[level] is None:
+                            p.fill(level)
                         capacity = p.batch[level]
                         exec_s = p.exec_s[level]
                         assembly = (
@@ -1056,6 +1095,7 @@ def run_vectorized(
             return (None, 0, 0.0, 0.0, "infeasible")
 
         def reject(rid, now, reason, platform_index=None, extra=None):
+            counters["rejected"] += 1
             if extra is None:
                 flat_append((_E_REJ, now, rid, reason))
             else:
@@ -1076,6 +1116,8 @@ def run_vectorized(
                 if avail_check and not p.state.available(now):
                     # Down, or breaker open/probing: hold the queue.
                     return
+                if p.cur_bl is None:
+                    p.fill(p.level)
                 if p.dirty:
                     if sort_key is None:
                         queue.sort()
@@ -1101,7 +1143,10 @@ def run_vectorized(
         ) -> None:
             state = p.state
             queue = p.queue
-            level = p.level
+            # Columns are indexed by the controller's level; the batch
+            # records the level of the rung that serves it.
+            current = p.level
+            level = p.rl[current]
             capacity = p.cur_bl
             exec_s = p.cur_el
             queued = len(queue)
@@ -1126,9 +1171,9 @@ def run_vectorized(
                 finish,
                 will_fail,
                 exec_s,
-                p.energy[level],
+                p.energy[current],
                 p.cur_epi,
-                p.ent[level],
+                p.ent[current],
                 take,
             )
             # Slow mode keeps the row mutable: an outage flips its
@@ -1137,7 +1182,7 @@ def run_vectorized(
             if track:
                 state.inflight = InFlightBatch(
                     requests=[request_at(rid) for rid in rids],
-                    rung=state.rung_at(level),
+                    rung=state.rung_at(current),
                     start_s=now,
                     finish_s=finish,
                     will_fail=will_fail,
@@ -1366,6 +1411,81 @@ def run_vectorized(
                 state.transient_pending += 1
             p.rebuild()
 
+        def on_tick() -> None:
+            """One control-plane tick: let the controller forecast and
+            act, log its actions, wake every platform it changed, and
+            re-arm the next tick while arrivals remain."""
+            outcome = controller.tick(now, states)
+            flat_append(
+                (
+                    _E_RAW,
+                    "control_tick",
+                    now,
+                    None,
+                    None,
+                    (),
+                    (
+                        ("observed_rps", outcome.observed_rps),
+                        ("forecast_rps", outcome.forecast_rps),
+                        ("level", outcome.target_level),
+                    ),
+                )
+            )
+            obs.control_tick(
+                now,
+                outcome.observed_rps,
+                outcome.forecast_rps,
+                outcome.target_level,
+                outcome.error_rps,
+            )
+            for platform, level, batch in outcome.prewarmed:
+                flat_append(
+                    (
+                        _E_RAW,
+                        "prewarm",
+                        now,
+                        None,
+                        platform,
+                        (),
+                        (("level", level), ("batch", batch)),
+                    )
+                )
+                obs.prewarm(platform, level, now)
+            for platform, _old, level in outcome.degraded:
+                flat_append(
+                    (
+                        _E_RAW,
+                        "degrade",
+                        now,
+                        None,
+                        platform,
+                        (),
+                        (("cause", "forecast"), ("level", level)),
+                    )
+                )
+                obs.degradation_move(platform, "degrade", level, now)
+            for platform, relative_frequency in outcome.dvfs_moves:
+                flat_append(
+                    (
+                        _E_RAW,
+                        "dvfs",
+                        now,
+                        None,
+                        platform,
+                        (),
+                        (("relative_frequency", relative_frequency),),
+                    )
+                )
+                obs.dvfs_move(platform, relative_frequency, now)
+            changed = [by_name[name] for name in sorted(outcome.changed_platforms)]
+            for p in changed:
+                p.rebuild()
+            for p in changed:
+                try_dispatch(p, now)
+            next_tick = now + controller.tick_s
+            if next_tick <= last_arrival_s:
+                dyn_push(next_tick, _TICK, 0)
+
         def on_free(p: _P, now: float) -> None:
             row = p.inflight
             if row is not None and row[3] <= now:
@@ -1414,6 +1534,11 @@ def run_vectorized(
                     continue
                 if avail_check and not p.state.available(now):
                     continue
+                # The accuracy column first: filling it materializes a
+                # lazy rung, which is where a live ladder compiles it.
+                column = p.cur_sa
+                if column is None:
+                    column = sa_fill(p, p.level)
                 wait = p.busy_until - now
                 if wait < 0.0:
                     wait = 0.0
@@ -1429,9 +1554,6 @@ def run_vectorized(
                     st = 0.0
                 else:
                     st = 1.0 - (latency - imp) / span
-                column = p.cur_sa
-                if column is None:
-                    column = sa_fill(p, p.level)
                 value = st * column[rid] / p.cur_epi
                 if fifo:
                     pick = latency < best_latency
@@ -1531,6 +1653,9 @@ def run_vectorized(
                         queued = len(p.queue)
                         if queued >= queue_limit:
                             continue
+                        column = p.cur_sa
+                        if column is None:
+                            column = sa_fill(p, p.level)
                         wait = p.busy_until - now
                         if wait < 0.0:
                             wait = 0.0
@@ -1549,9 +1674,6 @@ def run_vectorized(
                             st = 0.0
                         else:
                             st = 1.0 - (latency - imp) / span
-                        column = p.cur_sa
-                        if column is None:
-                            column = sa_fill(p, p.level)
                         value = st * column[rid] / p.cur_epi
                         if fifo:
                             pick = latency < best_latency
@@ -1577,6 +1699,7 @@ def run_vectorized(
                         end = bisect_right(arrivals, td, ai, n)
                         if end > ai:
                             flat_append((_E_REJR, ai, end))
+                            counters["rejected"] += end - ai
                             ai = end
                         continue
                     if best_st > 0.0 or not has_deadline[rid]:
@@ -1662,7 +1785,8 @@ def run_vectorized(
                                     p.pending_flush_at = flush_at
                                     dyn_push(flush_at, _FLUSH, p.index)
                                 break
-                            level = p.level
+                            current = p.level
+                            level = p.rl[current]
                             exec_s = p.cur_el
                             queued = len(queue)
                             take = (
@@ -1677,8 +1801,8 @@ def run_vectorized(
                             state.level_sum += level
                             p.inflight = (
                                 rids, level, time_s, finish, False,
-                                exec_s, p.energy[level], p.cur_epi,
-                                p.ent[level], take,
+                                exec_s, p.energy[current], p.cur_epi,
+                                p.ent[current], take,
                             )
                             dyn_push(finish, _FREE, p.index)
                             flat_append(
@@ -1715,6 +1839,8 @@ def run_vectorized(
                     now_ref[0] = ta
                     rid = ai
                     ai += 1
+                    if controller is not None:
+                        controller.observe_arrival(request_at(rid), ta)
                     on_arrival(rid, ta)
                 elif tf <= td:
                     now = tf
@@ -1736,6 +1862,8 @@ def run_vectorized(
                         try_dispatch(p, time_s)
                     elif kind == _RETRY:
                         on_arrival(payload, time_s)
+                    elif kind == _TICK:
+                        on_tick()
                     else:  # _PROBE
                         try_dispatch(ps[payload], time_s)
 
@@ -1756,6 +1884,12 @@ def run_vectorized(
     finally:
         unsubscribe()
 
+    check_conservation(
+        expected,
+        len(completed) if track else sum(row[3] for row in completed_rows),
+        counters["rejected"],
+        "router run",
+    )
     horizon = 0.0
     if track:
         if completed:
@@ -1803,7 +1937,9 @@ def run_vectorized(
         horizon_s=horizon,
         resilience=resilience_stats,
         obs=obs.report_section() if obs.enabled else None,
-        control=None,
+        control=(
+            controller.report_section() if controller is not None else None
+        ),
     )
 
 

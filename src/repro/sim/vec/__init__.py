@@ -1,31 +1,22 @@
-"""Vectorized (struct-of-arrays) twins of the simulation hot paths.
-
-This package rewrites the discrete-event inner loops as numpy array
-programs while the original object-per-event implementations stay in
-place as the *reference oracle*:
+"""Struct-of-arrays primitives of the router's hot path.
 
 * :mod:`repro.sim.vec.events` -- the SoA primitives: a ``(time, seq)``
-  keyed binary heap over parallel float64/int64 arrays
+  keyed binary heap over parallel scalar columns
   (:class:`SoAEventQueue`, pop-order bit-identical to ``heapq``) and
   the column-major arrival stream (:class:`ArrivalColumns`, ordering
   bit-identical to :func:`repro.serving.request.merge_loads`).
 * :mod:`repro.sim.vec.scoring` -- element-wise SoC curves evaluated
   across whole request vectors with the exact scalar op order of
   :mod:`repro.core.satisfaction`.
-* :mod:`repro.sim.vec.kernel` -- :func:`simulate_kernel_vec`, the
-  batched SM-residency stepper mirroring
-  :func:`repro.sim.engine.simulate_kernel` field for field.
 
-The serving-side consumer is :mod:`repro.serving.vec_router`
-(selected via ``RequestRouter(..., backend="vectorized")``); the
-equivalence contract -- bit-identical ``RouterReport`` fingerprints,
-event logs and obs exports on every seed -- is enforced by
-``tests/sim/test_vec_equivalence.py`` and
+The consumer is the router event loop, :mod:`repro.serving.vec_router`.
+Equivalence with the scalar functions is enforced by
+``tests/sim/test_vec_equivalence.py`` and ``tests/sim/test_soa_events.py``;
+the loop's bit-identical ``RouterReport`` fingerprints by
 ``tests/serving/test_backend_equivalence.py``.
 """
 
 from repro.sim.vec.events import ArrivalColumns, SoAEventQueue
-from repro.sim.vec.kernel import simulate_kernel_vec
 from repro.sim.vec.scoring import (
     soc_accuracy_vec,
     soc_time_vec,
@@ -35,7 +26,6 @@ from repro.sim.vec.scoring import (
 __all__ = [
     "ArrivalColumns",
     "SoAEventQueue",
-    "simulate_kernel_vec",
     "soc_accuracy_vec",
     "soc_time_vec",
     "soc_value_vec",

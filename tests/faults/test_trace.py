@@ -31,6 +31,27 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="time_s"):
             FaultEvent(time_s=-1.0, kind="outage", platform="K20c")
 
+    @pytest.mark.parametrize(
+        "time_s", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_time_rejected(self, time_s):
+        # NaN compares False against zero, so only an explicit
+        # finiteness check stops it; a NaN or +inf fault used to
+        # crash or silently skip in the router loop.
+        with pytest.raises(ValueError, match="time_s must be finite"):
+            FaultEvent(time_s=time_s, kind="restore", platform="K20c")
+
+    def test_non_finite_time_rejected_inside_traces(self):
+        with pytest.raises(ValueError, match="time_s must be finite"):
+            FaultTrace(
+                [
+                    FaultEvent(time_s=0.05, kind="outage", platform="K20c"),
+                    FaultEvent(
+                        time_s=float("nan"), kind="restore", platform="K20c"
+                    ),
+                ]
+            )
+
     def test_empty_platform_rejected(self):
         with pytest.raises(ValueError, match="platform"):
             FaultEvent(time_s=0.0, kind="outage", platform="")

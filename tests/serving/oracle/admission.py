@@ -1,4 +1,4 @@
-"""Admission control: bounded queues, deadline feasibility, and
+"""Reference admission: bounded queues, deadline feasibility, and
 degrade-before-reject.
 
 Every arriving request passes through the
@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serving.dispatch import Candidate, Dispatcher
 from repro.serving.request import Request
+from tests.serving.oracle.dispatch import Candidate, Dispatcher
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 

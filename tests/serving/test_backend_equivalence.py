@@ -1,14 +1,16 @@
-"""Differential harness: the vectorized router twin vs the reference.
+"""Differential harness: the router loop vs its reference oracle.
 
-The vectorized backend (:mod:`repro.serving.vec_router`) re-implements
-``RequestRouter.run`` as an array program; its merge contract is
+The router loop (:mod:`repro.serving.vec_router`) is an array program
+derived from the object-per-event reference loop, which survives as
+the test-only oracle in ``tests/serving/oracle``.  The contract is
 *bit-identical* ``RouterReport`` fingerprints -- the SHA-1 over every
 routing decision, event and request record -- on every seed, trace
-shape, config knob, fault schedule and instrumentation mode.  These
-tests are the oracle gate the rewrite merges behind: hypothesis draws
-trace families (MMPP storms, Pareto heavy tails, diurnal sinusoids,
-chaos-injected runs) and every draw must fingerprint identically
-through both backends.
+shape, config knob, fault schedule, instrumentation mode and control
+plane.  Hypothesis draws trace families (MMPP storms, Pareto heavy
+tails, diurnal sinusoids, chaos-injected runs) and every draw must
+fingerprint identically through both loops.  Keep the oracle until
+the golden corpus (``tests/goldens/router_fingerprints.json``) is
+judged sufficient on its own.
 """
 
 import numpy as np
@@ -16,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fleet import FleetManager
 from repro.core.satisfaction import TimeRequirement
 from repro.faults import FaultTraceConfig, generate_fault_trace
+from repro.gpu import JETSON_TX1, K20C
+from repro.nn import alexnet
 from repro.obs import Instrumentation
 from repro.serving import (
     ROUTER_BACKENDS,
@@ -28,8 +33,9 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import ShardSpec
 from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
+from tests.serving import router_cases
+from tests.serving.oracle import ReferenceRouter, reference_loop
 from tests.serving.test_canonical_fingerprint import (
     oracle_payload,
     streamed_payload,
@@ -74,10 +80,8 @@ def _run_both(fleet, loads, config=None, faults=None, obs_pair=None):
         kwargs_b["faults"] = faults
     if obs_pair is not None:
         kwargs_a["obs"], kwargs_b["obs"] = obs_pair
-    ref = RequestRouter(fleet, config).run(loads, **kwargs_a)
-    vec = RequestRouter(fleet, config, backend="vectorized").run(
-        loads, **kwargs_b
-    )
+    ref = ReferenceRouter(fleet, config).run(loads, **kwargs_a)
+    vec = RequestRouter(fleet, config).run(loads, **kwargs_b)
     return ref, vec
 
 
@@ -136,8 +140,8 @@ class TestTraceFamilies:
     def test_streamed_payload_byte_identical(
         self, fleet, family, n, seed, name
     ):
-        """The fresh vectorized report streams its payload from raw
-        rows; the reference streams it from objects; both must equal
+        """The loop's fresh report streams its payload from raw rows;
+        the oracle streams it from objects; both must equal
         the one-string ``json.dumps`` oracle byte for byte, whatever
         the tenant's name (quotes, escapes, non-ASCII) or trace size
         (empty included)."""
@@ -181,7 +185,7 @@ class TestConfigMatrix:
     ):
         """Two tenants with distinct priorities: the dispatch queue's
         sort key is no longer the identity permutation, so this
-        exercises the keyed-sort path of both backends."""
+        exercises the keyed-sort path of both loops."""
         loads = [
             TenantLoad(snappy_tenant, _trace("mmpp", 120, 1)),
             TenantLoad(background_tenant, _trace("pareto", 80, 2)),
@@ -223,46 +227,59 @@ class TestObsExports:
         assert obs_vec.report_section() == obs_ref.report_section()
 
 
+class TestControlPlane:
+    """Controller runs: ticks, pre-warm, forecast degradation and DVFS
+    on lazy ladders, alone and with chaos and instrumentation."""
+
+    @pytest.mark.parametrize("name", router_cases.CONTROLLER_CASES)
+    def test_controller_cases_bit_identical(self, fleet, name):
+        case = router_cases.CASES[name]
+        # Warm the engine caches first: compile/cache-hit relays and
+        # prewarm hits track cache temperature, not routing behaviour.
+        router_cases.run_case(RequestRouter, fleet, case)
+        ref, obs_ref = router_cases.run_case(ReferenceRouter, fleet, case)
+        vec, obs_vec = router_cases.run_case(RequestRouter, fleet, case)
+        assert vec.fingerprint() == ref.fingerprint()
+        assert vec.to_dict(include_events=True) == ref.to_dict(
+            include_events=True
+        )
+        assert vec.control == ref.control
+        if case.obs:
+            assert obs_vec.report_section() == obs_ref.report_section()
+
+    def test_truncating_ladder_cold_compiles_identically(self, spec):
+        """Cold engines: every rung compiles where the oracle compiles
+        it -- same compile events, same prewarm misses -- while the
+        controller escalates past the ``min_gain`` cut."""
+        case = router_cases.CASES["trunc-ewma"]
+        reports = []
+        for router_class in (ReferenceRouter, RequestRouter):
+            fleet = FleetManager(
+                alexnet(), spec, architectures=[K20C, JETSON_TX1],
+                max_tuning_iterations=8,
+            )
+            fleet.deploy_all()
+            reports.append(router_cases.run_case(router_class, fleet, case)[0])
+        ref, vec = reports
+        assert vec.to_dict(include_events=True) == ref.to_dict(
+            include_events=True
+        )
+        assert vec.control == ref.control
+        assert ref.events.counts["compile"] > 0
+        peak = {stats.platform: stats.peak_level for stats in vec.platforms}
+        # K20c's ladder ends at level 1, yet its controller went deeper.
+        assert peak["K20c"] > 1
+
+
 class TestSeam:
     def test_unknown_backend_rejected(self, fleet):
-        with pytest.raises(ValueError, match="unknown router backend"):
-            RequestRouter(fleet, RouterConfig(), backend="simd")
+        # The old loop's name is gone from src/ too.
+        for backend in ("simd", "reference"):
+            with pytest.raises(ValueError, match="unknown router backend"):
+                RequestRouter(fleet, RouterConfig(), backend=backend)
 
     def test_backends_registry(self):
-        assert ROUTER_BACKENDS == ("reference", "vectorized")
-
-    def test_vectorized_rejects_control_plane(
-        self, fleet, snappy_tenant
-    ):
-        loads = [TenantLoad(snappy_tenant, _trace("mmpp", 30, 42))]
-        router = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        )
-        with pytest.raises(ValueError, match="control plane"):
-            router.run(loads, controller=object())
-
-    def test_shard_spec_carries_backend(self, spec):
-        fleet_spec = FleetSpec(
-            network="alexnet", spec=spec, gpus=("k20c", "tx1")
-        )
-        shard = ShardSpec(
-            shard_id=0,
-            n_shards=1,
-            fleet=fleet_spec,
-            config=RouterConfig(),
-            loads=(),
-            seed=42,
-            backend="vectorized",
-        )
-        assert shard.backend == "vectorized"
-        assert ShardSpec(
-            shard_id=0,
-            n_shards=1,
-            fleet=fleet_spec,
-            config=RouterConfig(),
-            loads=(),
-            seed=42,
-        ).backend == "reference"
+        assert ROUTER_BACKENDS == ("vectorized",)
 
     def test_coordinator_rejects_unknown_backend(self, spec):
         with pytest.raises(ValueError, match="unknown router backend"):
@@ -285,21 +302,24 @@ class TestSeam:
             [TenantLoad(snappy_tenant, _trace("mmpp", 60, seed))]
             for seed in (11, 12)
         ]
-        fingerprints = {}
-        for backend in ROUTER_BACKENDS:
-            outcome = FleetCoordinator(
+
+        def merged(**backend):
+            return FleetCoordinator(
                 fleet_spec, RouterConfig(), n_shards=2, seed=42,
-                inline=True, backend=backend,
-            ).run(shard_loads=shard_loads)
-            fingerprints[backend] = outcome.report.fingerprint()
-        assert fingerprints["vectorized"] == fingerprints["reference"]
+                inline=True, **backend,
+            ).run(shard_loads=shard_loads).report.fingerprint()
+
+        with reference_loop():
+            reference = merged()
+        assert merged() == reference
+        assert merged(backend="vectorized") == reference
 
 
 class TestReportPayloads:
     def test_full_payloads_identical(self, fleet, snappy_tenant):
         """Beyond the fingerprint: completed/rejected ledgers, platform
         rows and summary scalars are exactly equal (floats included --
-        the vectorized path must be bit-exact, not close)."""
+        the loop must be bit-exact, not close)."""
         loads = [TenantLoad(snappy_tenant, _trace("mmpp", 200, 9))]
         ref, vec = _run_both(fleet, loads)
         ref_dict = ref.to_dict(include_requests=True, include_events=False)

@@ -3,7 +3,7 @@
 ``RouterReport.fingerprint`` hashes the pieces of
 ``RouterReport.canonical_chunks``, which render the payload chunk by
 chunk -- from the materialized object lists, or, on a fresh fast-mode
-vectorized report, straight from the backend's raw rows.  The oracle
+router report, straight from the loop's raw rows.  The oracle
 here is the pre-streaming definition kept as test-only code: build
 ``to_dict(include_events=True, include_requests=True)``, apply the
 cache-temperature filtering, ``json.dumps`` it with sorted keys.  Every
@@ -51,8 +51,12 @@ from repro.serving.report import (
 from repro.serving.shard import qualify_report
 from repro.serving.vec_router import _E_REJR, VecRouterReport
 from repro.workloads import bursty_trace, empty_trace, pareto_trace
+from tests.serving.oracle import ReferenceRouter
 
 LAZY = ("completed", "rejected", "events")
+
+#: Router class per loop: the production loop and the test oracle.
+ROUTERS = {"reference": ReferenceRouter, "vectorized": RequestRouter}
 
 
 def oracle_payload(report: RouterReport) -> bytes:
@@ -139,18 +143,14 @@ def _faults(loads, seed=3):
 
 class TestByteIdentity:
     def test_vectorized_fast_mode(self, fleet, loads):
-        report = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
+        report = RequestRouter(fleet, RouterConfig()).run(loads)
         assert isinstance(report, VecRouterReport)
         assert_byte_identical(report)
 
     def test_saturation_bursts(self, fleet, snappy_tenant):
         # Tiny queues under a hot burst: whole runs of arrivals are
         # rejected in one compact row, expanded only when rendered.
-        report = RequestRouter(
-            fleet, RouterConfig(queue_limit=2), backend="vectorized"
-        ).run(
+        report = RequestRouter(fleet, RouterConfig(queue_limit=2)).run(
             [
                 TenantLoad(
                     snappy_tenant,
@@ -162,17 +162,13 @@ class TestByteIdentity:
         assert_byte_identical(report)
 
     def test_vectorized_chaos_slow_mode(self, fleet, loads):
-        report = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads, faults=_faults(loads))
+        report = RequestRouter(fleet, RouterConfig()).run(loads, faults=_faults(loads))
         assert report.resilience is not None
         assert_byte_identical(report)
 
     def test_reference(self, fleet, loads):
-        ref = RequestRouter(fleet, RouterConfig()).run(loads)
-        vec = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
+        ref = ReferenceRouter(fleet, RouterConfig()).run(loads)
+        vec = RequestRouter(fleet, RouterConfig()).run(loads)
         assert assert_byte_identical(ref) == assert_byte_identical(vec)
 
     def test_controller(self, fleet, loads):
@@ -185,9 +181,9 @@ class TestByteIdentity:
         assert report.control is not None
         assert_byte_identical(report)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_instrumented(self, fleet, loads, backend):
-        report = RequestRouter(fleet, RouterConfig(), backend=backend).run(
+    @pytest.mark.parametrize("loop", ["reference", "vectorized"])
+    def test_instrumented(self, fleet, loads, loop):
+        report = ROUTERS[loop](fleet, RouterConfig()).run(
             loads, obs=Instrumentation()
         )
         assert report.obs is not None
@@ -211,7 +207,6 @@ class TestByteIdentity:
         ]
         outcome = FleetCoordinator(
             fleet_spec, RouterConfig(), n_shards=2, seed=5, inline=True,
-            backend="vectorized",
         ).run(
             shard_loads=[
                 _storm_loads(interactive[shard], background[shard],
@@ -224,8 +219,8 @@ class TestByteIdentity:
         for shard_id, shard_report in enumerate(outcome.shard_reports):
             assert_byte_identical(qualify_report(shard_report, shard_id))
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_escaped_tenant_names(self, fleet, backend):
+    @pytest.mark.parametrize("loop", ["reference", "vectorized"])
+    def test_escaped_tenant_names(self, fleet, loop):
         odd = [
             Tenant(
                 'café "quoted" \\ tenant',
@@ -235,27 +230,27 @@ class TestByteIdentity:
             Tenant("雪☃ \U0001f600 tab\tnew\nline",
                    TimeRequirement.background()),
         ]
-        report = RequestRouter(fleet, RouterConfig(), backend=backend).run(
+        report = ROUTERS[loop](fleet, RouterConfig()).run(
             _storm_loads(*odd, n=120)
         )
         payload = assert_byte_identical(report)
         assert b"\\u00e9" in payload and b'\\"quoted\\"' in payload
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_empty_run(self, fleet, snappy_tenant, backend):
-        report = RequestRouter(fleet, RouterConfig(), backend=backend).run(
+    @pytest.mark.parametrize("loop", ["reference", "vectorized"])
+    def test_empty_run(self, fleet, snappy_tenant, loop):
+        report = ROUTERS[loop](fleet, RouterConfig()).run(
             [TenantLoad(snappy_tenant, empty_trace())]
         )
         assert report.n_offered == 0
         payload = assert_byte_identical(report)
         assert b'"completed":[]' in payload and b'"rejected":[]' in payload
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_all_rejected_run(self, fleet, backend):
+    @pytest.mark.parametrize("loop", ["reference", "vectorized"])
+    def test_all_rejected_run(self, fleet, loop):
         hopeless = Tenant(
             "hopeless", TimeRequirement(imperceptible_s=1e-6, unusable_s=1e-6)
         )
-        report = RequestRouter(fleet, RouterConfig(), backend=backend).run(
+        report = ROUTERS[loop](fleet, RouterConfig()).run(
             [TenantLoad(hopeless, bursty_trace(n_requests=60, seed=4))]
         )
         assert report.n_completed == 0
@@ -263,10 +258,8 @@ class TestByteIdentity:
         assert_byte_identical(report)
 
     def test_backends_agree_on_summary(self, fleet, loads):
-        ref = RequestRouter(fleet, RouterConfig()).run(loads)
-        vec = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
+        ref = ReferenceRouter(fleet, RouterConfig()).run(loads)
+        vec = RequestRouter(fleet, RouterConfig()).run(loads)
         assert vec.per_tenant() == ref.per_tenant()
         assert vec.mean_soc == ref.mean_soc
         assert vec.deadline_hits == ref.deadline_hits
@@ -276,9 +269,7 @@ class TestByteIdentity:
 
 class TestFastModeStructure:
     def _fresh(self, fleet, loads):
-        report = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
+        report = RequestRouter(fleet, RouterConfig()).run(loads)
         assert isinstance(report, VecRouterReport)
         return report
 

@@ -5,7 +5,7 @@ deadline) used to leave the final rejection order at the mercy of
 queue/dict insertion order.  ``_reject_stranded`` now sorts explicitly
 by rid; these tests pin that ordering -- and the dispatch order of a
 deadline-colliding queue -- as deterministic, repeatable and identical
-across both router backends.
+between the router loop and its reference oracle.
 """
 
 from types import SimpleNamespace
@@ -18,8 +18,9 @@ from repro.serving import RequestRouter, RouterConfig, TenantLoad
 from repro.serving.events import EventLog
 from repro.serving.request import Request
 from repro.serving.resilience import RetryPolicy
-from repro.serving.router import _RunState
 from repro.workloads import RequestTrace
+from tests.serving.oracle import ReferenceRouter
+from tests.serving.oracle.router import _RunState
 
 
 def _colliding_trace(n, arrival_s=0.01):
@@ -38,7 +39,7 @@ class TestStrandedOrdering:
     deadlines must reject in rid order, never insertion order."""
 
     def _run_backstop(self, fleet, snappy_tenant, queues, inflight=None):
-        router = RequestRouter(fleet, RouterConfig())
+        router = ReferenceRouter(fleet, RouterConfig())
         router._now = 1.0
         run = _RunState(
             EventLog(), RetryPolicy(limit=1), Instrumentation.disabled()
@@ -127,12 +128,12 @@ class TestCollidingDeadlineDispatch:
     ):
         """With every deadline equal, the dispatch sort must fall back
         to a stable total order -- same fingerprint on every run and
-        on both backends."""
+        on the reference oracle."""
         loads = [TenantLoad(snappy_tenant, _colliding_trace(32))]
         config = RouterConfig(policy=policy)
         runs = [
-            RequestRouter(fleet, config, backend=backend).run(loads)
-            for backend in ("reference", "reference", "vectorized")
+            router(fleet, config).run(loads)
+            for router in (RequestRouter, RequestRouter, ReferenceRouter)
         ]
         assert runs[0].fingerprint() == runs[1].fingerprint()
         assert runs[2].fingerprint() == runs[0].fingerprint()
@@ -153,12 +154,10 @@ class TestCollidingDeadlineDispatch:
                 _colliding_trace(12, arrival_s=0.5 + offset),
             ),
         ]
-        ref = RequestRouter(fleet, RouterConfig()).run(loads)
+        ref = ReferenceRouter(fleet, RouterConfig()).run(loads)
         again = RequestRouter(fleet, RouterConfig()).run(loads)
-        vec = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
-        assert ref.fingerprint() == again.fingerprint()
+        vec = RequestRouter(fleet, RouterConfig()).run(loads)
+        assert vec.fingerprint() == again.fingerprint()
         assert vec.fingerprint() == ref.fingerprint()
 
     def test_every_request_accounted_for(self, fleet, snappy_tenant):

@@ -2,16 +2,22 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.satisfaction import TimeRequirement
+from repro.obs import Instrumentation
 from repro.serving import (
+    FleetCoordinator,
+    FleetSpec,
     RequestRouter,
     RouterConfig,
+    RouterReport,
     Tenant,
     TenantLoad,
+    vec_router,
 )
 from repro.workloads import RequestTrace, bursty_trace
 
@@ -179,6 +185,60 @@ class TestAccounting:
         deployment = fresh.deployment("K20c")
         deployment.engine.execute(deployment.current_entry.compiled)
         assert len(report.events) == before
+
+
+class TestConservation:
+    """Completed plus rejected must equal the *input* request count at
+    the end of every run and after every coordinator merge; a loop or
+    merge that loses a request raises instead of returning a report
+    that is consistent with itself."""
+
+    @pytest.mark.parametrize("obs", [False, True], ids=["fast", "tracked"])
+    def test_lost_request_raises(
+        self, fleet, snappy_load, monkeypatch, obs
+    ):
+        class DroppingColumns(vec_router.ArrivalColumns):
+            """Loses each tenant's last arrival on the way in."""
+
+            def __init__(self, loads):
+                super().__init__(
+                    [
+                        TenantLoad(
+                            load.tenant,
+                            RequestTrace(
+                                arrivals_s=load.trace.arrivals_s[:-1],
+                                difficulty=load.trace.difficulty[:-1],
+                            ),
+                        )
+                        for load in loads
+                    ]
+                )
+
+        monkeypatch.setattr(vec_router, "ArrivalColumns", DroppingColumns)
+        router = RequestRouter(fleet, RouterConfig())
+        with pytest.raises(RuntimeError, match="conservation"):
+            router.run(snappy_load, obs=Instrumentation() if obs else None)
+
+    def test_coordinator_lost_request_raises(
+        self, spec, snappy_tenant, monkeypatch
+    ):
+        merge = RouterReport.merge.__func__
+
+        def lossy_merge(cls, reports):
+            merged = merge(cls, reports)
+            return replace(merged, completed=merged.completed[1:])
+
+        monkeypatch.setattr(RouterReport, "merge", classmethod(lossy_merge))
+        coordinator = FleetCoordinator(
+            FleetSpec(network="alexnet", spec=spec, gpus=("k20c", "tx1")),
+            RouterConfig(), n_shards=2, inline=True,
+        )
+        shard_loads = [
+            [TenantLoad(snappy_tenant, bursty_trace(n_requests=40, seed=seed))]
+            for seed in (1, 2)
+        ]
+        with pytest.raises(RuntimeError, match="conservation"):
+            coordinator.run(shard_loads=shard_loads)
 
 
 class TestMultiTenant:

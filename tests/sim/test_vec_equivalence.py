@@ -1,12 +1,8 @@
-"""Differential tests: the vectorized sim twins vs their oracles.
+"""Differential tests: the vectorized scorers vs their scalar oracles.
 
-Three layers of the vectorized rewrite are checked field-for-field and
-bit-for-bit against the original implementations, which stay in the
-tree as reference oracles:
+Two vectorized rewrites are checked bit-for-bit against the scalar
+implementations, which stay in the tree as reference oracles:
 
-* :func:`repro.sim.vec.simulate_kernel_vec` vs
-  :func:`repro.sim.engine.simulate_kernel` across architectures,
-  schedulers, libraries and GEMM shapes;
 * :func:`repro.analysis.batched_kernel_scores` vs the scalar
   :func:`repro.sim.engine.analytic_kernel_time_s` loop it replaces in
   the engine's compile sweep (and the tuner winner it implies);
@@ -29,12 +25,9 @@ from repro.core.offline.kernel_tuning import (
 from repro.core.satisfaction import TimeRequirement, soc_accuracy, soc_time
 from repro.gpu import JETSON_TX1, K20C
 from repro.gpu.kernels import GemmShape, make_kernel
-from repro.gpu.libraries import CUBLAS
 from repro.gpu.spilling import apply_spill, plan_spill, stair_points
-from repro.sim.cta_scheduler import PrioritySMScheduler, RoundRobinScheduler
-from repro.sim.engine import analytic_kernel_time_s, simulate_kernel
+from repro.sim.engine import analytic_kernel_time_s
 from repro.sim.vec import (
-    simulate_kernel_vec,
     soc_accuracy_vec,
     soc_time_vec,
     soc_value_vec,
@@ -47,84 +40,6 @@ SHAPES = (
     GemmShape(m_rows=128, n_cols=729, k_depth=1200),
     GemmShape(m_rows=384, n_cols=169, k_depth=2304),
 )
-
-
-def _fields(result):
-    return (
-        result.cycles,
-        result.seconds,
-        result.grid_size,
-        result.sms_used,
-        result.powered_sms,
-        result.avg_tlp,
-        result.activity,
-        result.energy_joules,
-        result.dram_bytes,
-    )
-
-
-class TestKernelSim:
-    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_bit_identical_default_scheduler(self, arch, shape):
-        kernel = make_kernel(64, 64)
-        ref = simulate_kernel(arch, kernel, shape)
-        vec = simulate_kernel_vec(arch, kernel, shape)
-        assert _fields(vec) == _fields(ref)
-
-    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
-    @pytest.mark.parametrize(
-        "make_scheduler",
-        [RoundRobinScheduler, lambda: PrioritySMScheduler(opt_tlp=2, opt_sm=4)],
-        ids=["round-robin", "priority-sm"],
-    )
-    def test_bit_identical_across_schedulers(self, arch, make_scheduler):
-        kernel = make_kernel(128, 64)
-        shape = SHAPES[1]
-        ref = simulate_kernel(
-            arch, kernel, shape, scheduler=make_scheduler()
-        )
-        vec = simulate_kernel_vec(
-            arch, kernel, shape, scheduler=make_scheduler()
-        )
-        assert _fields(vec) == _fields(ref)
-
-    @pytest.mark.parametrize("library", [None, CUBLAS, PCNN_BACKEND])
-    def test_bit_identical_across_libraries(self, library):
-        kernel = make_kernel(64, 128)
-        ref = simulate_kernel(K20C, kernel, SHAPES[0], library=library)
-        vec = simulate_kernel_vec(K20C, kernel, SHAPES[0], library=library)
-        assert _fields(vec) == _fields(ref)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        m=st.integers(min_value=16, max_value=512),
-        n=st.integers(min_value=16, max_value=1024),
-        k=st.integers(min_value=16, max_value=2048),
-        max_ctas=st.integers(min_value=1, max_value=8),
-    )
-    def test_bit_identical_on_generated_shapes(self, m, n, k, max_ctas):
-        kernel = make_kernel(64, 64)
-        shape = GemmShape(m_rows=m, n_cols=n, k_depth=k)
-        ref = simulate_kernel(
-            K20C, kernel, shape, max_ctas_per_sm=max_ctas
-        )
-        vec = simulate_kernel_vec(
-            K20C, kernel, shape, max_ctas_per_sm=max_ctas
-        )
-        assert _fields(vec) == _fields(ref)
-
-    def test_trace_collection_rejected(self):
-        kernel = make_kernel(64, 64)
-        with pytest.raises(ValueError, match="does not collect traces"):
-            simulate_kernel_vec(K20C, kernel, SHAPES[0], collect_trace=True)
-
-    def test_zero_occupancy_rejected_like_reference(self):
-        kernel = make_kernel(64, 64)
-        with pytest.raises(ValueError, match="occupancy limit is 0"):
-            simulate_kernel_vec(
-                K20C, kernel, SHAPES[0], max_ctas_per_sm=0
-            )
 
 
 class TestBatchedScores:

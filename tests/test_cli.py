@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.serving.oracle import reference_loop
 
 
 class TestParser:
@@ -271,35 +272,37 @@ class TestServeFleetSupervised:
 
 
 class TestServeFleetBackend:
+    """``serve-fleet`` runs the one router loop; its payloads match the
+    reference oracle's, controller runs included."""
+
     _BASE = ["serve-fleet", "--gpus", "tx1", "--requests", "40",
              "--seed", "3", "--json"]
 
-    def test_backend_choices_registered(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve-fleet", "--backend", "vectorized"]
-        )
-        assert args.backend == "vectorized"
-        assert parser.parse_args(["serve-fleet"]).backend == "reference"
+    def _payloads(self, capsys, extra=()):
+        payloads = []
+        for oracle in (True, False):
+            if oracle:
+                with reference_loop():
+                    code = main(self._BASE + list(extra))
+            else:
+                code = main(self._BASE + list(extra))
+            assert code == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        return payloads
+
+    def test_backend_option_is_gone(self):
         with pytest.raises(SystemExit):
-            parser.parse_args(["serve-fleet", "--backend", "simd"])
+            build_parser().parse_args(
+                ["serve-fleet", "--backend", "vectorized"]
+            )
 
     def test_backends_serve_identical_payloads(self, capsys):
-        payloads = {}
-        for backend in ("reference", "vectorized"):
-            code = main(self._BASE + ["--backend", backend])
-            assert code == 0
-            payloads[backend] = json.loads(capsys.readouterr().out)
-        ref = payloads["reference"]
-        vec = payloads["vectorized"]
+        ref, vec = self._payloads(capsys)
         assert vec["summary"] == ref["summary"]
         assert vec["platforms"] == ref["platforms"]
+        assert vec["fingerprint"] == ref["fingerprint"]
 
-    def test_vectorized_refuses_controller(self, capsys):
-        code = main(
-            self._BASE
-            + ["--backend", "vectorized", "--controller", "ewma"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--backend reference" in err
+    def test_controller_serves_through_the_loop(self, capsys):
+        ref, vec = self._payloads(capsys, ["--controller", "ewma"])
+        assert vec["control"]["ticks"] > 0
+        assert vec["fingerprint"] == ref["fingerprint"]
