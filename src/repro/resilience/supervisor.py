@@ -328,7 +328,10 @@ class ShardSupervisor:
     """Runs a batch of shard specs to acceptance or exhaustion.
 
     ``task`` is the worker entry point (``run_shard`` in production;
-    any picklable top-level callable in tests).  ``inline=True``
+    any picklable top-level callable in tests).  ``witness_task``, when
+    given, runs the witness re-executions instead of ``task`` -- the
+    inline coordinator serves primaries from one shared fleet but
+    keeps its witnesses cold.  ``inline=True``
     executes attempts in the calling process -- process faults from a
     spec's ``proc_faults`` plan are *pre-empted* (the supervisor
     consults the same ``decide`` function the worker would and
@@ -345,12 +348,14 @@ class ShardSupervisor:
         inline: bool = False,
         processes: Optional[int] = None,
         checkpoint: Optional[object] = None,
+        witness_task: Optional[Callable] = None,
     ) -> None:
         if processes is not None and processes < 1:
             raise ValueError(
                 "processes must be >= 1, got %r" % (processes,)
             )
         self.task = task
+        self.witness_task = task if witness_task is None else witness_task
         self.config = config if config is not None else SupervisorConfig()
         self.inline = inline
         self.processes = processes
@@ -437,6 +442,9 @@ class ShardSupervisor:
         ):
             return dataclasses.replace(spec, proc_faults=None)
         return spec
+
+    def _task_for(self, work: _Work) -> Callable:
+        return self.task if work.witness_of is None else self.witness_task
 
     def _record(self, state: _ShardState) -> ShardRunRecord:
         if state.resumed:
@@ -574,7 +582,7 @@ class ShardSupervisor:
                 )
                 continue
             try:
-                result = self.task(self._clean_spec(spec))
+                result = self._task_for(work)(self._clean_spec(spec))
             except Exception:
                 self._register_failure(
                     states, queue,
@@ -619,7 +627,7 @@ class ShardSupervisor:
         )
         process = context.Process(
             target=_supervised_entry,
-            args=(self.task, spec, child_conn),
+            args=(self._task_for(work), spec, child_conn),
             daemon=True,
         )
         process.start()

@@ -70,7 +70,6 @@ from repro.serving.shard import (
     ShardPlanner,
     ShardResult,
     ShardSpec,
-    ShardWorker,
     run_shard,
     shard_seed,
     split_fault_trace,
@@ -103,7 +102,6 @@ __all__ = [
     "ShardPlanner",
     "ShardResult",
     "ShardSpec",
-    "ShardWorker",
     "Tenant",
     "TenantLoad",
     "TenantStats",

@@ -82,6 +82,18 @@ class TenantLoad:
     tenant: Tenant
     trace: RequestTrace
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.tenant, Tenant):
+            raise ValueError(
+                "tenant must be a Tenant, got %s"
+                % (type(self.tenant).__name__,)
+            )
+        if not isinstance(self.trace, RequestTrace):
+            raise ValueError(
+                "trace must be a RequestTrace, got %s"
+                % (type(self.trace).__name__,)
+            )
+
 
 def merge_loads(loads: Sequence[TenantLoad]) -> List[Request]:
     """Interleave every tenant's trace into one arrival-ordered stream.

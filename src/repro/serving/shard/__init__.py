@@ -3,8 +3,9 @@
 Scale one router into N: the :class:`ShardPlanner` deterministically
 partitions tenants (or, via ``partition_trace``, single large traces)
 across shards; each :class:`ShardSpec` runs one
-:class:`~repro.serving.router.RequestRouter` over its own fleet in a
-``multiprocessing`` spawn worker; the :class:`FleetCoordinator`
+:class:`~repro.serving.router.RequestRouter`, in a ``multiprocessing``
+spawn worker that rebuilds the fleet or inline over the coordinator's
+one deployed fleet; the :class:`FleetCoordinator`
 launches the shards, re-homes requests off chaos-dead shards onto the
 least-loaded healthy one, and folds the per-shard reports into one
 fingerprinted global :class:`~repro.serving.report.RouterReport` with
@@ -35,7 +36,6 @@ from repro.serving.shard.worker import (
     FleetSpec,
     ShardResult,
     ShardSpec,
-    ShardWorker,
     run_shard,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "ShardPlanner",
     "ShardResult",
     "ShardSpec",
-    "ShardWorker",
     "parse_shard_platform",
     "qualify_report",
     "run_shard",

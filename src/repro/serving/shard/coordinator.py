@@ -6,7 +6,14 @@ run description (fleet spec, router config, loads, optional fault
 trace) into per-shard :class:`~repro.serving.shard.worker.ShardSpec`
 values, executes them -- spawn workers under a
 :class:`~repro.resilience.ShardSupervisor` by default, inline for
-debugging and coverage -- and folds the results back together:
+debugging and coverage -- and folds the results back together.  Each
+spawn worker rebuilds the fleet from its spec; inline, the
+coordinator deploys its fleet once, on the first shard it serves, and
+every later inline attempt (retries, failover and escalation re-runs,
+later :meth:`FleetCoordinator.run` calls) serves from that one
+:class:`~repro.core.fleet.FleetManager`, so the P-CNN offline phase
+runs once per platform rather than once per shard.  Witness
+re-executions still build their own fleet, staying cold re-runs.
 
 1. faults are carved per shard via
    :func:`~repro.serving.shard.planner.split_fault_trace`;
@@ -45,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.fleet import FleetManager
 from repro.faults.events import FaultTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import TraceBuffer
@@ -79,6 +87,7 @@ from repro.serving.shard.worker import (
     ShardResult,
     ShardSpec,
     run_shard,
+    serve_shard,
 )
 from repro.workloads.generators import RequestTrace, merge_traces
 
@@ -129,10 +138,11 @@ class FleetCoordinator:
     spawn) -- bit-identical results, since workers are deterministic
     either way; injected process faults are pre-empted by the
     supervisor rather than really executed, with the same
-    failure/retry sequence.  ``n_shards=1`` is the degenerate case:
-    no platform qualification, no shard obs labels, and a merged
-    report whose fingerprint equals the plain single-router
-    fingerprint.
+    failure/retry sequence.  Inline shards share one fleet, deployed
+    on first use and kept for the coordinator's lifetime.
+    ``n_shards=1`` is the degenerate case: no platform qualification,
+    no shard obs labels, and a merged report whose fingerprint equals
+    the plain single-router fingerprint.
 
     ``processes`` caps the number of concurrently live spawn workers;
     the default is ``min(n_shards, os.cpu_count())`` -- one process
@@ -198,6 +208,9 @@ class FleetCoordinator:
             CheckpointStore(resume_dir) if resume_dir is not None else None
         )
         self.planner = ShardPlanner(n_shards)
+        #: The fleet every inline attempt serves from (deployed by the
+        #: first one; see :meth:`_serve_inline`).
+        self._deployed: Optional[FleetManager] = None
 
     # -- public entry ----------------------------------------------------
     def run(
@@ -350,13 +363,30 @@ class FleetCoordinator:
         if not self.inline:
             self._check_spawnable()
         supervisor = ShardSupervisor(
-            run_shard,
+            self._serve_inline if self.inline else run_shard,
             config=self.supervision,
             inline=self.inline,
             processes=self._effective_processes(len(specs)),
             checkpoint=self.checkpoint,
+            # A witness is an independent cold re-run: its own fleet.
+            witness_task=run_shard,
         )
         return supervisor.run(specs)
+
+    def _serve_inline(self, spec: ShardSpec) -> ShardResult:
+        """The inline supervisor's task: serve ``spec`` from the
+        coordinator's fleet, deploying it on first use.
+
+        Under ``config.calibrate`` every run moves the deployments'
+        tuning-path positions as it serves, so a shared fleet would
+        hand one shard's calibration state to the next; those runs
+        deploy afresh per attempt, as a spawn worker does.
+        """
+        if self.config.calibrate:
+            return run_shard(spec)
+        if self._deployed is None:
+            self._deployed = self.fleet.build()
+        return serve_shard(spec, self._deployed)
 
     def _run_single(
         self,

@@ -1,12 +1,14 @@
 """The shard worker: one router run behind a spawn-picklable spec.
 
-A shard is one :class:`~repro.serving.router.RequestRouter` over its
-own :class:`~repro.core.fleet.FleetManager`, running in a
-``multiprocessing`` spawn worker.  Deployments hold engine state
-(tuned plans, caches) and never cross the process boundary: the spec
-ships *names* -- network, GPUs, tenant loads, fault schedule -- and
-the worker rebuilds the fleet locally.  Recompiling in the worker is
-invisible to fingerprints because the report's fingerprint is
+A shard is one :class:`~repro.serving.router.RequestRouter` run over
+a deployed :class:`~repro.core.fleet.FleetManager`.  Deployments hold
+engine state (tuned plans, caches) and never cross the process
+boundary: the spec ships *names* -- network, GPUs, tenant loads,
+fault schedule -- and a spawn worker rebuilds the fleet locally.
+Inline shards skip that rebuild: the coordinator deploys its fleet
+once and serves every inline attempt from it through
+:func:`serve_shard`.  Either way the fleet's engine temperature is
+invisible to fingerprints, because the report's fingerprint is
 cache-neutral by construction.
 
 :func:`run_shard` is deliberately a top-level function so
@@ -31,12 +33,13 @@ from repro.serving.request import TenantLoad
 from repro.serving.router import RequestRouter, RouterConfig
 from repro.serving.shard.planner import shard_label
 
-__all__ = ["FleetSpec", "ShardResult", "ShardSpec", "ShardWorker", "run_shard"]
+__all__ = ["FleetSpec", "ShardResult", "ShardSpec", "run_shard", "serve_shard"]
 
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """A fleet described by names, rebuilt inside each worker.
+    """A fleet described by names, deployed by each spawn worker (and
+    once per inline coordinator).
 
     Everything here pickles cleanly under spawn; :meth:`build`
     resolves the names against the registries and runs the full
@@ -178,7 +181,22 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         os._exit(plan.crash_exit_code)
     if fault == "hang":
         time.sleep(plan.hang_s)
-    fleet = spec.fleet.build()
+    result = serve_shard(spec, spec.fleet.build())
+    if fault in ("corrupt", "truncate", "forge"):
+        result = plan.tamper(fault, result)
+    return result
+
+
+def serve_shard(spec: ShardSpec, fleet: FleetManager) -> ShardResult:
+    """Run the spec's router over an already-deployed ``fleet``.
+
+    Each call is an independent simulation (the router rebuilds its
+    per-run state from the deployments), so one fleet can serve any
+    number of shard runs back to back -- unless ``config.calibrate``
+    lets a run move the deployments' calibrators.  The spec's
+    ``proc_faults`` plan is not consulted here; :func:`run_shard` (or
+    the inline supervisor) owns fault injection.
+    """
     obs = (
         Instrumentation(shard=spec.label) if spec.instrument else None
     )
@@ -192,7 +210,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     spans = (
         tuple(obs.buffer.to_dicts()) if obs is not None else None
     )
-    result = ShardResult(
+    return ShardResult(
         shard_id=spec.shard_id,
         seed=spec.seed,
         report=report,
@@ -200,23 +218,4 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         attempt=spec.attempt,
         declared_fingerprint=report.fingerprint(),
     )
-    if fault in ("corrupt", "truncate", "forge"):
-        result = plan.tamper(fault, result)
-    return result
 
-
-class ShardWorker:
-    """Object view of one shard run (a thin veneer over
-    :func:`run_shard` for callers that want to hold the spec and
-    trigger the run separately)."""
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
-
-    @property
-    def shard_id(self) -> int:
-        return self.spec.shard_id
-
-    def run(self) -> ShardResult:
-        """Execute the shard in the current process."""
-        return run_shard(self.spec)

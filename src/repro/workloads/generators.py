@@ -37,22 +37,29 @@ class RequestTrace:
 
     ``arrivals_s`` are finite, non-negative, monotonically
     non-decreasing timestamps;
-    ``difficulty`` is a per-request multiplier (>= 1 means harder than
-    calibration) applied to the tuning-time entropy.
+    ``difficulty`` is a finite, non-negative per-request multiplier
+    (>= 1 means harder than calibration) applied to the tuning-time
+    entropy.  Both are 1-D arrays of one length.
     """
 
     arrivals_s: np.ndarray
     difficulty: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("arrivals_s", "difficulty"):
+            values = getattr(self, name)
+            if values.ndim != 1:
+                raise ValueError(
+                    "%s must be 1-D, got shape %r" % (name, values.shape)
+                )
+            # NaN compares False, so a non-finite value would slip
+            # through the sign and ordering tests below.
+            if not np.all(np.isfinite(values)):
+                raise ValueError("%s must be finite (no NaN or inf)" % name)
+            if np.any(values < 0):
+                raise ValueError("%s must be non-negative" % name)
         if self.arrivals_s.shape != self.difficulty.shape:
             raise ValueError("arrivals and difficulty must align")
-        # Checked before ordering: NaN compares False, so a non-finite
-        # clock would slip through the non-decreasing test below.
-        if not np.all(np.isfinite(self.arrivals_s)):
-            raise ValueError("arrivals_s must be finite (no NaN or inf)")
-        if np.any(self.arrivals_s < 0):
-            raise ValueError("arrivals_s must be non-negative")
         if np.any(np.diff(self.arrivals_s) < 0):
             raise ValueError("arrivals must be non-decreasing")
 

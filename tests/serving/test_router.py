@@ -320,6 +320,17 @@ class TestEdgeCasesAndValidation:
         with pytest.raises(ValueError):
             RouterConfig(low_water_batches=5.0)
 
+    def test_tenant_load_rejects_non_tenant(self, snappy_tenant):
+        trace = RequestTrace(
+            arrivals_s=np.array([0.0]), difficulty=np.ones(1)
+        )
+        with pytest.raises(ValueError, match="tenant must be a Tenant"):
+            TenantLoad("snappy", trace)
+        with pytest.raises(ValueError, match="trace must be a RequestTrace"):
+            TenantLoad(snappy_tenant, None)
+        with pytest.raises(ValueError, match="trace must be a RequestTrace"):
+            TenantLoad(snappy_tenant, np.array([0.0]))
+
     def test_accepts_plain_deployment_mapping(self, deployments):
         router = RequestRouter(dict(deployments))
         tenant = Tenant("t", TimeRequirement(0.1, 3.0), 1)

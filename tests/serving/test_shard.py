@@ -17,8 +17,8 @@ from repro.serving import (
 from repro.serving.shard import (
     ShardPlanner,
     ShardSpec,
-    ShardWorker,
     parse_shard_platform,
+    run_shard,
     shard_label,
     shard_platform,
     shard_seed,
@@ -317,9 +317,7 @@ class TestShardWorker:
             shard_id=0, n_shards=1, fleet=fleet_spec,
             config=RouterConfig(), loads=(_load("w", n=10),),
         )
-        worker = ShardWorker(spec)
-        assert worker.shard_id == 0
-        result = worker.run()
+        result = run_shard(spec)
         assert result.shard_id == 0
         assert result.report.n_offered == 10
         assert result.spans is None
@@ -330,7 +328,7 @@ class TestShardWorker:
             config=RouterConfig(), loads=(_load("w", n=10),),
             instrument=True,
         )
-        result = ShardWorker(spec).run()
+        result = run_shard(spec)
         assert result.spans
         run_spans = [s for s in result.spans if s["name"] == "run"]
         assert run_spans and all(

@@ -123,6 +123,42 @@ class TestTraces:
             )
         assert "arrivals_s" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "difficulty, message",
+        [
+            # One NaN used to complete 1 of 4 requests on a single
+            # K20c and reject the other 3 as saturated.
+            ([1.0, np.nan, 1.0, 1.0], "finite"),
+            ([1.0, 1.0, np.inf, 1.0], "finite"),
+            # A negative one used to raise from soc() mid-run.
+            ([1.0, -0.5, 1.0, 1.0], "non-negative"),
+        ],
+    )
+    def test_trace_rejects_bad_difficulty(self, difficulty, message):
+        with pytest.raises(ValueError, match=message) as info:
+            RequestTrace(
+                arrivals_s=np.array([0.0, 0.01, 0.02, 0.03]),
+                difficulty=np.array(difficulty),
+            )
+        assert "difficulty" in str(info.value)
+
+    def test_trace_accepts_zero_difficulty(self):
+        trace = RequestTrace(
+            arrivals_s=np.array([0.0, 0.01]), difficulty=np.zeros(2)
+        )
+        assert trace.n_requests == 2
+
+    @pytest.mark.parametrize("field", ["arrivals_s", "difficulty"])
+    def test_trace_rejects_non_1d_arrays(self, field):
+        # A 2x2 trace used to be accepted with n_requests == 2.
+        columns = {
+            "arrivals_s": np.array([0.0, 0.01, 0.02, 0.03]),
+            "difficulty": np.ones(4),
+        }
+        columns[field] = columns[field].reshape(2, 2)
+        with pytest.raises(ValueError, match="%s must be 1-D" % field):
+            RequestTrace(**columns)
+
 
 class TestBurstyTraces:
     """Property tests for the heavy-tail / bursty arrival processes."""
