@@ -15,12 +15,32 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.core.satisfaction import SoCBreakdown
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile
-from repro.serving.canonical import CHUNK, encode_report, event_chunks
+from repro.serving.canonical import (
+    CHUNK,
+    COMPLETED_KEYS,
+    REJECTED_KEYS,
+    encode_repeated,
+    encode_report,
+    event_chunks,
+)
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.request import Request
 
@@ -31,8 +51,12 @@ __all__ = [
     "PlatformStats",
     "ResilienceStats",
     "RouterReport",
+    "LazyReport",
     "ObjectRecords",
+    "RecordTable",
+    "TableRecords",
     "check_conservation",
+    "event_log",
 ]
 
 
@@ -394,6 +418,10 @@ class RouterReport:
             "no platform %r in the report (known: %s)" % (name, known)
         )
 
+    def rejection_reasons(self) -> Set[str]:
+        """The distinct reasons requests were rejected with."""
+        return self._records().rejection_reasons()
+
     # -- merging ---------------------------------------------------------
     @classmethod
     def merge(cls, reports: "Sequence[RouterReport]") -> "RouterReport":
@@ -417,6 +445,12 @@ class RouterReport:
         bit-identical result, floating-point sums included.  Merging a
         single report returns it unchanged (the 1-shard degenerate
         case preserves existing fingerprints by construction).
+
+        The fold reads the leaves' record columns
+        (:meth:`TableRecords.completed_table` and friends), so merging
+        builds no per-request object; the result is a
+        :class:`LazyReport` whose ``completed`` / ``rejected`` /
+        ``events`` materialize from the leaves on first read.
         """
         reports = list(reports)
         if not reports:
@@ -428,53 +462,9 @@ class RouterReport:
             leaves.extend(report.merged_from or (report,))
         leaves.sort(key=lambda leaf: leaf.fingerprint())
 
-        # Global rid assignment over every terminal record: a stable
-        # sort by (arrival, tenant) with ties resolved by canonical
-        # leaf order, then local rid order.
-        rid_maps: List[Dict[int, int]] = [{} for _ in leaves]
-        keyed: List[Tuple[float, str, int, int]] = []
-        for index, leaf in enumerate(leaves):
-            requests = sorted(
-                [record.request for record in leaf.completed]
-                + [record.request for record in leaf.rejected],
-                key=lambda request: request.rid,
-            )
-            for request in requests:
-                keyed.append(
-                    (request.arrival_s, request.tenant.name, index, request.rid)
-                )
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        for new_rid, (_arrival, _tenant, index, old_rid) in enumerate(keyed):
-            if old_rid in rid_maps[index]:
-                raise ValueError(
-                    "request id %d appears twice in one merged report"
-                    % (old_rid,)
-                )
-            rid_maps[index][old_rid] = new_rid
-
-        def renumber(index: int, record):
-            request = record.request
-            return replace(
-                record,
-                request=replace(request, rid=rid_maps[index][request.rid]),
-            )
-
-        completed = [
-            renumber(index, record)
-            for index, leaf in enumerate(leaves)
-            for record in leaf.completed
-        ]
-        completed.sort(key=lambda record: record.request.rid)
-        rejected = [
-            renumber(index, record)
-            for index, leaf in enumerate(leaves)
-            for record in leaf.rejected
-        ]
-        rejected.sort(key=lambda record: record.request.rid)
-
+        source = _MergedSource(leaves)
         horizon_s = max(leaf.horizon_s for leaf in leaves)
         platforms = cls._merge_platforms(leaves, horizon_s)
-        events = cls._merge_events(leaves, rid_maps)
         stats = [
             leaf.resilience for leaf in leaves if leaf.resilience is not None
         ]
@@ -487,16 +477,14 @@ class RouterReport:
         control = (
             cls._merge_control_sections(controls) if controls else None
         )
-        return cls(
-            completed=completed,
-            rejected=rejected,
+        return LazyReport(
             platforms=platforms,
-            events=events,
             horizon_s=horizon_s,
             resilience=resilience,
             obs=obs,
             control=control,
             merged_from=tuple(leaves),
+            _source=source,
         )
 
     @staticmethod
@@ -641,33 +629,6 @@ class RouterReport:
             )
         return merged
 
-    @staticmethod
-    def _merge_events(
-        leaves: "Sequence[RouterReport]",
-        rid_maps: "Sequence[Dict[int, int]]",
-    ) -> EventLog:
-        """Interleave leaf event logs by (time, leaf, local seq) --
-        per-leaf causal order survives -- remapping request ids onto
-        the merged numbering."""
-        entries: List[Tuple[float, int, int, RouterEvent]] = []
-        for index, leaf in enumerate(leaves):
-            for event in leaf.events:
-                entries.append((event.time_s, index, event.seq, event))
-        entries.sort(key=lambda item: (item[0], item[1], item[2]))
-        merged: List[RouterEvent] = []
-        for _time_s, index, _seq, event in entries:
-            try:
-                request_ids = tuple(
-                    rid_maps[index][rid] for rid in event.request_ids
-                )
-            except KeyError as error:
-                raise ValueError(
-                    "event %r references request id %s with no terminal "
-                    "record in its report" % (event.kind, error)
-                ) from None
-            merged.append(replace(event, request_ids=request_ids))
-        return EventLog.from_events(merged)
-
     # -- export ----------------------------------------------------------
     def to_dict(
         self,
@@ -780,10 +741,14 @@ class ObjectRecords:
     The object path: every aggregate is computed from the
     ``CompletedRequest`` / ``RejectedRequest`` / ``RouterEvent``
     objects, and the record columns the canonical encoder streams are
-    read off them chunk by chunk.  Chaos, controlled, instrumented,
-    merged and qualified reports always use it.  Its methods are the
-    record-source interface; the router loop's fast-mode columnar
-    source implements the same ones.
+    read off them chunk by chunk.  Chaos, controlled and instrumented
+    router runs use it, and so does any report once one of its lazy
+    fields has materialized.  Its methods are the record-source
+    interface; :class:`TableRecords` implements the same ones over
+    columns, including the raw-column accessors
+    (:meth:`completed_table`, :meth:`rejected_table`,
+    :meth:`event_rows`) that :meth:`RouterReport.merge` and shard
+    qualification read.
     """
 
     __slots__ = ("report",)
@@ -796,6 +761,9 @@ class ObjectRecords:
 
     def n_rejected(self) -> int:
         return len(self.report.rejected)
+
+    def rejection_reasons(self) -> Set[str]:
+        return {record.reason for record in self.report.rejected}
 
     def deadline_hits(self) -> int:
         return sum(1 for record in self.report.completed if record.deadline_hit)
@@ -909,4 +877,559 @@ class ObjectRecords:
             )
             for event in self.report.events
             if event.kind not in skip_kinds
+        )
+
+    # -- raw columns (what merge and shard qualification read) ----------
+    def completed_table(self) -> "RecordTable":
+        completed = self.report.completed
+        requests = [r.request for r in completed]
+        socs = [r.soc for r in completed]
+        platform, platforms = _indexed([r.platform for r in completed])
+        tenant, tenants = _indexed(
+            [(q.tenant.name, q.tenant.priority) for q in requests]
+        )
+        return RecordTable(
+            {
+                "arrival_s": _objects([q.arrival_s for q in requests]),
+                "batch": _objects([r.batch for r in completed]),
+                "deadline_hit": _objects([r.deadline_hit for r in completed]),
+                "entropy": _objects([r.entropy for r in completed]),
+                "finish_s": _objects([r.finish_s for r in completed]),
+                "latency_s": _objects([r.latency_s for r in completed]),
+                "level": _objects([r.level for r in completed]),
+                "platform": platform,
+                "rid": _objects([q.rid for q in requests]),
+                "soc": _objects([s.value for s in socs]),
+                "soc_accuracy": _objects([s.soc_accuracy for s in socs]),
+                "soc_time": _objects([s.soc_time for s in socs]),
+                "start_s": _objects([r.start_s for r in completed]),
+                "tenant": tenant,
+            },
+            platforms,
+            tenants,
+        )
+
+    def rejected_table(self) -> "RecordTable":
+        rejected = self.report.rejected
+        requests = [r.request for r in rejected]
+        tenant, tenants = _indexed(
+            [(q.tenant.name, q.tenant.priority) for q in requests]
+        )
+        return RecordTable(
+            {
+                "arrival_s": _objects([q.arrival_s for q in requests]),
+                "reason": _objects([r.reason for r in rejected]),
+                "rid": _objects([q.rid for q in requests]),
+                "tenant": tenant,
+            },
+            [],
+            tenants,
+        )
+
+    def event_rows(self) -> Iterator[tuple]:
+        """``(time_s, kind, tenant, platform, request_ids, detail)`` per
+        event, in log order."""
+        for event in self.report.events:
+            yield (
+                event.time_s,
+                event.kind,
+                event.tenant,
+                event.platform,
+                event.request_ids,
+                event.detail,
+            )
+
+
+def _objects(values: list) -> np.ndarray:
+    """An ``object`` column holding exactly ``values``: rendering and
+    builtin sums over it see the object path's own values and types."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _indexed(values: list) -> Tuple[np.ndarray, list]:
+    """Index codes into the distinct ``values`` (first-seen order)."""
+    index: Dict[object, int] = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return np.array(codes, dtype=np.int64), list(index)
+
+
+def _concat(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate, leaving out empty parts so that an empty ``object``
+    column does not turn a typed column into an ``object`` one."""
+    parts = [column for column in columns if len(column)] or list(columns[:1])
+    return np.concatenate(parts)
+
+
+#: Float columns whose values mostly repeat -- batch times across a
+#: batch, entropy and SoC across a rung (80-99% of a chunk on the
+#: benchmark's storm) -- so a typed chunk renders each distinct value
+#: once.  Arrivals and latencies are nearly all distinct.
+_REPEATED_KEYS = frozenset(
+    ("entropy", "finish_s", "soc", "soc_accuracy", "soc_time", "start_s")
+)
+
+
+class RecordTable:
+    """One record list (completed or rejected) as columns, in rid order.
+
+    ``columns`` holds one numpy array per canonical key
+    (:data:`~repro.serving.canonical.COMPLETED_KEYS` or
+    :data:`~repro.serving.canonical.REJECTED_KEYS`).  The ``platform``
+    column holds indices into ``platforms`` (names) and the ``tenant``
+    column indices into ``tenants`` (``(name, priority)`` pairs), so
+    renaming every platform touches only the short name list.  Columns
+    read off a router's typed state are ``float64``/``int64``/``bool``
+    arrays; columns read off objects are ``object`` arrays that keep
+    the original values.
+    """
+
+    __slots__ = ("columns", "platforms", "tenants")
+
+    def __init__(
+        self,
+        columns: Dict[str, np.ndarray],
+        platforms: list,
+        tenants: list,
+    ) -> None:
+        self.columns = columns
+        self.platforms = platforms
+        self.tenants = tenants
+
+    def __len__(self) -> int:
+        return len(self.columns["rid"])
+
+    def take(self, order: np.ndarray) -> "RecordTable":
+        """The rows at ``order``, in that order."""
+        return RecordTable(
+            {key: column[order] for key, column in self.columns.items()},
+            self.platforms,
+            self.tenants,
+        )
+
+    def with_column(self, key: str, values: np.ndarray) -> "RecordTable":
+        """The same table with one column replaced."""
+        columns = dict(self.columns)
+        columns[key] = values
+        return RecordTable(columns, self.platforms, self.tenants)
+
+    def renamed(self, rename: Callable[[str], str]) -> "RecordTable":
+        """The same rows with every platform name passed through
+        ``rename``."""
+        return RecordTable(
+            self.columns, [rename(name) for name in self.platforms],
+            self.tenants,
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
+        """The tables' rows one after another (index columns shifted
+        onto the concatenated name lists)."""
+        platforms: list = []
+        tenants: list = []
+        parts: Dict[str, List[np.ndarray]] = {
+            key: [] for key in tables[0].columns
+        }
+        for table in tables:
+            for key, column in table.columns.items():
+                if key == "platform":
+                    column = column + len(platforms)
+                elif key == "tenant":
+                    column = column + len(tenants)
+                parts[key].append(column)
+            platforms.extend(table.platforms)
+            tenants.extend(table.tenants)
+        return cls(
+            {key: _concat(columns) for key, columns in parts.items()},
+            platforms,
+            tenants,
+        )
+
+    def tenant_ranks(self, rank: Dict[str, int]) -> np.ndarray:
+        """Each row's tenant name mapped through ``rank``."""
+        lookup = np.array(
+            [rank[name] for name, _priority in self.tenants], dtype=np.int64
+        )
+        return lookup[self.columns["tenant"]]
+
+    def chunks(self, keys: Sequence[str]) -> Iterator[tuple]:
+        """Canonical column chunks in ``keys`` order (names for the
+        index columns)."""
+        names = {
+            "platform": self.platforms,
+            "tenant": [name for name, _priority in self.tenants],
+        }
+        columns = [(key, self.columns[key], names.get(key)) for key in keys]
+        for start in range(0, len(self), CHUNK):
+            window = slice(start, start + CHUNK)
+            chunk = []
+            for key, column, lookup in columns:
+                part = column[window]
+                if lookup is not None:
+                    part = [lookup[index] for index in part.tolist()]
+                elif key in _REPEATED_KEYS and part.dtype == np.float64:
+                    part = encode_repeated(part)
+                chunk.append(part)
+            yield tuple(chunk)
+
+
+class TableRecords:
+    """Record source over :class:`RecordTable` columns and event rows.
+
+    Answers every aggregate ``RouterReport`` reads and streams the
+    canonical record columns without building a ``Request``,
+    ``CompletedRequest``, ``RejectedRequest`` or ``RouterEvent``.  Every
+    sum is a builtin ``sum`` over the same values in the same rid order
+    as the object path.  Fast-mode router runs, qualified shard views
+    and merged reports all answer through it.
+
+    ``event_rows`` is a zero-argument callable returning the events as
+    ``(time_s, kind, tenant, platform, request_ids, detail)`` tuples in
+    log order; ``counts`` is the per-kind event count.
+    """
+
+    def __init__(
+        self,
+        completed: RecordTable,
+        rejected: RecordTable,
+        event_rows: Callable[[], Iterator[tuple]],
+        counts: Dict[str, int],
+    ) -> None:
+        self.completed = completed
+        self.rejected = rejected
+        self._event_rows = event_rows
+        self.counts = counts
+
+    # -- aggregates ------------------------------------------------------
+    def n_completed(self) -> int:
+        return len(self.completed)
+
+    def n_rejected(self) -> int:
+        return len(self.rejected)
+
+    def rejection_reasons(self) -> Set[str]:
+        return set(self.rejected.columns["reason"].tolist())
+
+    def deadline_hits(self) -> int:
+        return int(np.count_nonzero(self.completed.columns["deadline_hit"]))
+
+    def mean_soc(self) -> float:
+        soc = self.completed.columns["soc"]
+        if not len(soc):
+            return 0.0
+        return sum(soc.tolist()) / len(soc)
+
+    def latencies(self) -> List[float]:
+        return self.completed.columns["latency_s"].tolist()
+
+    def event_counts(self) -> Dict[str, int]:
+        return dict(self.counts)
+
+    def per_tenant(self) -> List[TenantStats]:
+        """Tenant aggregates, sorted by tenant name.  A tenant's
+        priority is that of its first completed record in rid order,
+        else of its first rejected one -- as the object path buckets."""
+        done_table, refused_table = self.completed, self.rejected
+        names = sorted(
+            {name for name, _ in done_table.tenants}
+            | {name for name, _ in refused_table.tenants}
+        )
+        rank = {name: position for position, name in enumerate(names)}
+        done_rank = done_table.tenant_ranks(rank)
+        refused_rank = refused_table.tenant_ranks(rank)
+        hit = done_table.columns["deadline_hit"]
+        soc = done_table.columns["soc"]
+        latency = done_table.columns["latency_s"]
+        stats = []
+        for position, name in enumerate(names):
+            done = np.flatnonzero(done_rank == position)
+            refused = np.flatnonzero(refused_rank == position)
+            n_done = len(done)
+            if n_done:
+                first = done_table.columns["tenant"][done[0]]
+                priority = done_table.tenants[first][1]
+            elif len(refused):
+                first = refused_table.columns["tenant"][refused[0]]
+                priority = refused_table.tenants[first][1]
+            else:
+                continue
+            stats.append(
+                TenantStats(
+                    tenant=name,
+                    priority=priority,
+                    offered=n_done + len(refused),
+                    completed=n_done,
+                    rejected=len(refused),
+                    deadline_hits=int(np.count_nonzero(hit[done])),
+                    mean_soc=(
+                        sum(soc[done].tolist()) / n_done if n_done else 0.0
+                    ),
+                    mean_latency_s=(
+                        sum(latency[done].tolist()) / n_done
+                        if n_done
+                        else 0.0
+                    ),
+                )
+            )
+        return stats
+
+    # -- canonical record columns (key order of repro.serving.canonical)
+    def completed_columns(self) -> Iterator[tuple]:
+        return self.completed.chunks(COMPLETED_KEYS)
+
+    def rejected_columns(self) -> Iterator[tuple]:
+        return self.rejected.chunks(REJECTED_KEYS)
+
+    def event_columns(self, skip_kinds: Sequence[str]) -> Iterator[tuple]:
+        return event_chunks(
+            row for row in self._event_rows() if row[1] not in skip_kinds
+        )
+
+    # -- raw columns -----------------------------------------------------
+    def completed_table(self) -> RecordTable:
+        return self.completed
+
+    def rejected_table(self) -> RecordTable:
+        return self.rejected
+
+    def event_rows(self) -> Iterator[tuple]:
+        return self._event_rows()
+
+
+def event_log(rows: Iterable[tuple]) -> EventLog:
+    """An :class:`EventLog` of ``(time_s, kind, tenant, platform,
+    request_ids, detail)`` rows, numbered in the order given."""
+    # A generator, not a list: ``from_events`` copies each event, so a
+    # list would hold the whole log twice at the peak.
+    return EventLog.from_events(
+        RouterEvent(
+            seq=seq,
+            time_s=time_s,
+            kind=kind,
+            tenant=tenant,
+            platform=platform,
+            request_ids=request_ids,
+            detail=detail,
+        )
+        for seq, (time_s, kind, tenant, platform, request_ids, detail)
+        in enumerate(rows)
+    )
+
+
+class _LazyField:
+    """Non-data descriptor: materializes one deferred report field from
+    the report's source on first access and caches it in the instance
+    dict (which then shadows the descriptor)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = getattr(report._source, self.name)()
+        report.__dict__[self.name] = value
+        return value
+
+
+#: The report fields a :class:`LazyReport` materializes on first read.
+_LAZY_FIELDS = frozenset(("completed", "rejected", "events"))
+
+
+class LazyReport(RouterReport):
+    """A ``RouterReport`` whose per-request lists and event log
+    materialize on first read.
+
+    ``_source`` supplies them: ``completed()`` / ``rejected()`` /
+    ``events()`` build the object lists, and ``records()`` returns the
+    columnar record source (or ``None`` to decline).  Until a lazy
+    field materializes, the aggregates, ``to_dict`` without requests
+    and ``fingerprint()`` read that columnar source, with byte-identical
+    results; afterwards the objects are authoritative.  Without a
+    ``_source`` the class behaves exactly like its dataclass base, so
+    ``dataclasses.replace`` keeps working.  Pickling materializes
+    first: a lazy report crosses a process boundary as plain objects.
+    """
+
+    completed = _LazyField("completed")
+    rejected = _LazyField("rejected")
+    events = _LazyField("events")
+
+    def __init__(self, *args, _source=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if _source is not None:
+            for name in _LAZY_FIELDS:
+                del self.__dict__[name]
+            self._source = _source
+
+    def _records(self):
+        source = self.__dict__.get("_source")
+        if source is not None and _LAZY_FIELDS.isdisjoint(self.__dict__):
+            records = source.records()
+            if records is not None:
+                return records
+        return super()._records()
+
+    def __getstate__(self):
+        if self.__dict__.get("_source") is not None:
+            _ = (self.completed, self.rejected, self.events)
+        state = dict(self.__dict__)
+        state.pop("_source", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+
+
+class _MergedSource:
+    """The record columns of a merged report, folded from its leaves.
+
+    Built once by :meth:`RouterReport.merge` from each leaf's raw
+    columns: terminal records get their merged rids from one stable
+    sort, the events one interleaving with their rids remapped.  The
+    object lists materialize from the leaves' own objects through the
+    same per-leaf rid maps.
+    """
+
+    def __init__(self, leaves: Sequence[RouterReport]) -> None:
+        self.leaves = leaves
+        sources = [leaf._records() for leaf in leaves]
+        done_tables = [source.completed_table() for source in sources]
+        refused_tables = [source.rejected_table() for source in sources]
+        names = sorted(
+            {
+                name
+                for table in chain(done_tables, refused_tables)
+                for name, _priority in table.tenants
+            }
+        )
+        rank = {name: position for position, name in enumerate(names)}
+
+        # Global rid assignment over every terminal record: a stable
+        # sort by (arrival, tenant) with ties resolved by canonical
+        # leaf order, then local rid order.
+        local_rids, by_rids, arrivals, tenants = [], [], [], []
+        for done, refused in zip(done_tables, refused_tables):
+            rids = np.concatenate(
+                [done.columns["rid"], refused.columns["rid"]]
+            )
+            _check_unique(rids.tolist())
+            by_rid = np.argsort(rids, kind="stable")
+            local_rids.append(rids)
+            by_rids.append(by_rid)
+            arrivals.append(
+                np.concatenate(
+                    [done.columns["arrival_s"], refused.columns["arrival_s"]]
+                )[by_rid]
+            )
+            tenants.append(
+                np.concatenate(
+                    [done.tenant_ranks(rank), refused.tenant_ranks(rank)]
+                )[by_rid]
+            )
+        arrival = np.concatenate(arrivals)
+        order = np.argsort(np.concatenate(tenants), kind="stable")
+        order = order[np.argsort(arrival[order], kind="stable")]
+        new_rid = np.empty(len(order), dtype=np.int64)
+        new_rid[order] = np.arange(len(order), dtype=np.int64)
+
+        self.rid_maps: List[Dict[int, int]] = []
+        done_parts, refused_parts = [], []
+        offset = 0
+        for rids, by_rid, done, refused in zip(
+            local_rids, by_rids, done_tables, refused_tables
+        ):
+            renumbered = np.empty(len(rids), dtype=np.int64)
+            renumbered[by_rid] = new_rid[offset:offset + len(rids)]
+            offset += len(rids)
+            self.rid_maps.append(
+                dict(zip(rids.tolist(), renumbered.tolist()))
+            )
+            done_parts.append(
+                done.with_column("rid", renumbered[:len(done)])
+            )
+            refused_parts.append(
+                refused.with_column("rid", renumbered[len(done):])
+            )
+        completed = RecordTable.concat(done_parts)
+        completed = completed.take(np.argsort(completed.columns["rid"]))
+        rejected = RecordTable.concat(refused_parts)
+        rejected = rejected.take(np.argsort(rejected.columns["rid"]))
+
+        self.rows = self._merge_events(sources)
+        counts = [source.event_counts() for source in sources]
+        self._records = TableRecords(
+            completed,
+            rejected,
+            self.rows.__iter__,
+            {
+                kind: sum(leaf.get(kind, 0) for leaf in counts)
+                for kind in EventLog.KINDS
+            },
+        )
+
+    def _merge_events(self, sources) -> List[tuple]:
+        """Interleave leaf event rows by (time, leaf, local seq) --
+        per-leaf causal order survives -- remapping request ids onto
+        the merged numbering."""
+        per_leaf = [list(source.event_rows()) for source in sources]
+        rows = list(chain.from_iterable(per_leaf))
+        leaf_of = list(
+            chain.from_iterable(
+                [index] * len(leaf) for index, leaf in enumerate(per_leaf)
+            )
+        )
+        times = np.array([row[0] for row in rows], dtype=np.float64)
+        merged = []
+        append = merged.append
+        rid_maps = self.rid_maps
+        for position in np.argsort(times, kind="stable").tolist():
+            time_s, kind, tenant, platform, rids, detail = rows[position]
+            try:
+                rids = tuple(
+                    map(rid_maps[leaf_of[position]].__getitem__, rids)
+                )
+            except KeyError as error:
+                raise ValueError(
+                    "event %r references request id %s with no terminal "
+                    "record in its report" % (kind, error)
+                ) from None
+            append((time_s, kind, tenant, platform, rids, detail))
+        return merged
+
+    def records(self) -> TableRecords:
+        return self._records
+
+    def _renumbered(self, name: str) -> list:
+        records = [
+            replace(
+                record,
+                request=replace(
+                    record.request, rid=rid_map[record.request.rid]
+                ),
+            )
+            for leaf, rid_map in zip(self.leaves, self.rid_maps)
+            for record in getattr(leaf, name)
+        ]
+        records.sort(key=lambda record: record.request.rid)
+        return records
+
+    def completed(self) -> List[CompletedRequest]:
+        return self._renumbered("completed")
+
+    def rejected(self) -> List[RejectedRequest]:
+        return self._renumbered("rejected")
+
+    def events(self) -> EventLog:
+        return event_log(self.rows)
+
+
+def _check_unique(rids: list) -> None:
+    """Refuse a leaf that numbers two terminal records alike."""
+    if len(set(rids)) != len(rids):
+        ordered = sorted(rids)
+        twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        raise ValueError(
+            "request id %d appears twice in one merged report" % (twice,)
         )

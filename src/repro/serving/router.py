@@ -124,6 +124,8 @@ class RouterConfig:
     breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
+        # The float checks are written as ``not <valid>`` so that NaN,
+        # which fails every comparison, is rejected too.
         if self.policy not in POLICIES:
             raise ValueError(
                 "unknown policy %r (known: %s)"
@@ -133,7 +135,7 @@ class RouterConfig:
             raise ValueError(
                 "queue_limit must be >= 1, got %r" % (self.queue_limit,)
             )
-        if self.flush_timeout_s is not None and self.flush_timeout_s <= 0:
+        if self.flush_timeout_s is not None and not self.flush_timeout_s > 0:
             raise ValueError(
                 "flush_timeout_s must be positive (or None for the "
                 "per-deployment default), got %r" % (self.flush_timeout_s,)
@@ -150,7 +152,7 @@ class RouterConfig:
             raise ValueError(
                 "max_batch must be >= 1, got %r" % (self.max_batch,)
             )
-        if self.min_gain <= 1.0:
+        if not self.min_gain > 1.0:
             raise ValueError(
                 "min_gain must exceed 1.0, got %r" % (self.min_gain,)
             )
@@ -166,12 +168,12 @@ class RouterConfig:
             raise ValueError(
                 "retry_limit must be >= 0, got %r" % (self.retry_limit,)
             )
-        if self.retry_backoff_s <= 0:
+        if not self.retry_backoff_s > 0:
             raise ValueError(
                 "retry_backoff_s must be positive, got %r"
                 % (self.retry_backoff_s,)
             )
-        if self.retry_backoff_growth < 1.0:
+        if not self.retry_backoff_growth >= 1.0:
             raise ValueError(
                 "retry_backoff_growth must be >= 1.0, got %r"
                 % (self.retry_backoff_growth,)
@@ -181,7 +183,7 @@ class RouterConfig:
                 "breaker_threshold must be >= 1, got %r"
                 % (self.breaker_threshold,)
             )
-        if self.breaker_cooldown_s <= 0:
+        if not self.breaker_cooldown_s > 0:
             raise ValueError(
                 "breaker_cooldown_s must be positive, got %r"
                 % (self.breaker_cooldown_s,)

@@ -599,16 +599,17 @@ class FleetCoordinator:
         (:data:`DEAD_SHARD_REASONS`), or injected outages together
         with *any* rejections -- an outage that lands before traffic
         arrives leaves no request in flight to tag with ``outage``,
-        so its casualties surface as plain admission rejects.
+        so its casualties surface as plain admission rejects.  Both
+        are read off the report's record source, so a healthy shard's
+        report is never materialized.
         """
-        reasons = {record.reason for record in report.rejected}
-        if reasons.intersection(DEAD_SHARD_REASONS):
+        if report.rejection_reasons().intersection(DEAD_SHARD_REASONS):
             return True
         resilience = report.resilience
         return (
             resilience is not None
             and resilience.outages > 0
-            and bool(report.rejected)
+            and report.n_rejected > 0
         )
 
     @staticmethod

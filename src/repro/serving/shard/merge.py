@@ -2,10 +2,11 @@
 
 Three transforms bridge worker-local reports into one global ledger:
 
-* :func:`qualify_report` -- prefix every platform name with the
-  shard's ``s<k>/`` tag so the merged report keeps shards disjoint
-  (the merge layer treats equal platform names as the same device and
-  would otherwise sum two shards' replicas into one row).
+* :func:`qualify_report` -- a view of a shard's report that prefixes
+  every platform name with the shard's ``s<k>/`` tag as it is read, so
+  the merged report keeps shards disjoint (the merge layer treats
+  equal platform names as the same device and would otherwise sum two
+  shards' replicas into one row).
 * :func:`strip_requests` -- erase re-homed requests from a dead
   shard's ledger so the global report counts each request exactly
   once (the failover target owns their terminal records).
@@ -14,7 +15,7 @@ Three transforms bridge worker-local reports into one global ledger:
   appending zero-width ``supervise`` spans that record the
   supervision history (attempts, failures) per shard.
 
-All three are pure functions over plain report data; they introduce
+All three are pure functions of their inputs; they introduce
 no ordering of their own beyond shard-id order, so the coordinator's
 output is a deterministic function of the shard results.
 """
@@ -22,11 +23,19 @@ output is a deterministic function of the shard results.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.obs.span import Span, TraceBuffer
 from repro.serving.events import EventLog
-from repro.serving.report import RouterReport
+from repro.serving.report import (
+    CompletedRequest,
+    LazyReport,
+    RejectedRequest,
+    RouterReport,
+    TableRecords,
+    event_log,
+)
 from repro.serving.shard.planner import shard_platform
 from repro.serving.shard.worker import ShardResult
 
@@ -41,43 +50,74 @@ _PLATFORM_DETAIL_KEYS = ("origin", "platform")
 
 
 def qualify_report(report: RouterReport, shard_id: int) -> RouterReport:
-    """A copy of one shard's report with every platform name
+    """A view of one shard's report with every platform name
     qualified as ``s<shard_id>/<platform>``.
 
-    Touches platform stats rows, completed-request placements, and
-    events (both the ``platform`` field and the platform-valued detail
-    keys).  Rejected records carry no platform and pass through.
+    The view shares the shard report's record source and maps names
+    as it reads: platform stats rows, completed-request placements,
+    and events (both the ``platform`` field and the platform-valued
+    detail keys).  Rejected records carry no platform and pass
+    through.  Its ``completed`` / ``rejected`` / ``events`` lists
+    materialize only when read (see
+    :class:`~repro.serving.report.LazyReport`).
     """
-    completed = [
-        replace(record, platform=shard_platform(shard_id, record.platform))
-        for record in report.completed
-    ]
-    platforms = [
-        replace(stats, platform=shard_platform(shard_id, stats.platform))
-        for stats in report.platforms
-    ]
-    events = []
-    for event in report.events:
-        detail = dict(event.detail)
-        for key in _PLATFORM_DETAIL_KEYS:
-            if key in detail:
-                detail[key] = shard_platform(shard_id, str(detail[key]))
-        platform = event.platform
-        if platform is not None:
-            platform = shard_platform(shard_id, platform)
-        events.append(
-            replace(event, platform=platform, detail=detail)
-        )
-    return RouterReport(
-        completed=completed,
-        rejected=list(report.rejected),
-        platforms=platforms,
-        events=EventLog.from_events(events),
+    return LazyReport(
+        platforms=[
+            replace(stats, platform=shard_platform(shard_id, stats.platform))
+            for stats in report.platforms
+        ],
         horizon_s=report.horizon_s,
         resilience=report.resilience,
         obs=report.obs,
         control=report.control,
+        _source=_QualifiedSource(report, shard_id),
     )
+
+
+class _QualifiedSource:
+    """The records of a shard report, platform names qualified."""
+
+    def __init__(self, report: RouterReport, shard_id: int) -> None:
+        self.report = report
+        self.shard_id = shard_id
+        self._records: Optional[TableRecords] = None
+
+    def _name(self, platform: str) -> str:
+        return shard_platform(self.shard_id, platform)
+
+    def records(self) -> TableRecords:
+        if self._records is None:
+            base = self.report._records()
+            self._records = TableRecords(
+                base.completed_table().renamed(self._name),
+                base.rejected_table(),
+                partial(self._event_rows, base),
+                base.event_counts(),
+            )
+        return self._records
+
+    def _event_rows(self, base) -> Iterator[tuple]:
+        for time_s, kind, tenant, platform, rids, detail in base.event_rows():
+            if platform is not None:
+                platform = self._name(platform)
+            if "origin" in detail or "platform" in detail:
+                detail = dict(detail)
+                for key in _PLATFORM_DETAIL_KEYS:
+                    if key in detail:
+                        detail[key] = self._name(str(detail[key]))
+            yield (time_s, kind, tenant, platform, rids, detail)
+
+    def completed(self) -> List[CompletedRequest]:
+        return [
+            replace(record, platform=self._name(record.platform))
+            for record in self.report.completed
+        ]
+
+    def rejected(self) -> List[RejectedRequest]:
+        return list(self.report.rejected)
+
+    def events(self) -> EventLog:
+        return event_log(self.records().event_rows())
 
 
 def strip_requests(report: RouterReport, rids: Iterable[int]) -> RouterReport:

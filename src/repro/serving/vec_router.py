@@ -59,17 +59,19 @@ from repro.core.satisfaction import soc
 from repro.faults.events import FaultTrace
 from repro.faults.health import PlatformHealth
 from repro.obs.instrument import Instrumentation
-from repro.serving.canonical import CHUNK, encode_repeated, event_chunks
 from repro.serving.degradation import DegradationController
 from repro.serving.dispatch import InFlightBatch, PlatformState
-from repro.serving.events import EventLog, RouterEvent
+from repro.serving.events import EventLog
 from repro.serving.report import (
     CompletedRequest,
+    LazyReport,
+    RecordTable,
     RejectedRequest,
     ResilienceStats,
     RouterReport,
-    TenantStats,
+    TableRecords,
     check_conservation,
+    event_log,
 )
 from repro.serving.request import TenantLoad
 from repro.serving.resilience import CircuitBreaker, RetryPolicy
@@ -407,42 +409,26 @@ class _VecRaw:
                 yield (t, kind, tenant, platform, rids, dict(pairs))
 
     def events(self) -> EventLog:
-        # A generator, not a list: ``from_events`` copies each event,
-        # so a list would hold the whole log twice at the peak.
-        return EventLog.from_events(
-            RouterEvent(
-                seq=seq,
-                time_s=t,
-                kind=kind,
-                tenant=tenant,
-                platform=platform,
-                request_ids=rids,
-                detail=detail,
-            )
-            for seq, (t, kind, tenant, platform, rids, detail) in enumerate(
-                self.event_rows()
-            )
-        )
+        return event_log(self.event_rows())
 
 
-class _VecRecords:
+class _VecRecords(TableRecords):
     """Columnar record source over one fast-mode run's raw rows.
 
-    Answers every aggregate ``RouterReport`` reads and streams the
-    canonical record columns for ``fingerprint()`` straight from the
-    compact rows: no ``Request``, ``CompletedRequest``,
-    ``SoCBreakdown`` or ``RouterEvent`` is built.  Per-request columns
-    are numpy arrays in rid order, computed once with the reference's
-    exact float expressions (element-wise ``-``/``*``/``/`` round
-    exactly like the scalar ops); every sum is a builtin ``sum`` over
-    the same values in the same rid order as the object path.
+    Builds the :class:`~repro.serving.report.RecordTable` columns
+    straight from the compact rows -- no ``Request``,
+    ``CompletedRequest``, ``SoCBreakdown`` or ``RouterEvent`` is built.
+    Per-request columns are numpy arrays in rid order, computed once
+    with the reference's exact float expressions (element-wise
+    ``-``/``*``/``/`` round exactly like the scalar ops).
     """
 
     def __init__(self, raw: _VecRaw) -> None:
-        self.raw = raw
         self.tenants = raw.cols.tenants
-        self._build_completed(raw)
-        self._scan_flat(raw)
+        counts, rejected = self._scan_flat(raw)
+        super().__init__(
+            self._build_completed(raw), rejected, raw.event_rows, counts
+        )
 
     @staticmethod
     def accepts(raw: _VecRaw) -> bool:
@@ -460,7 +446,7 @@ class _VecRecords:
             for tenant in raw.cols.tenants
         )
 
-    def _build_completed(self, raw: _VecRaw) -> None:
+    def _build_completed(self, raw: _VecRaw) -> RecordTable:
         cols = raw.cols
         rows = raw.completed_rows
         sizes = [len(row[0]) for row in rows]
@@ -511,22 +497,28 @@ class _VecRecords:
         soc_time = soc_time_vec(runtime, imperceptible, unusable)
         soc_accuracy = soc_accuracy_vec(entropy, thr)
         order = np.argsort(rid, kind="stable")
-        self.rid = rid[order]
-        self.tidx = tidx[order]
-        self.pidx = pidx[order]
-        self.level = level[order]
-        self.take = take[order]
-        self.arrival = arrival[order]
-        self.start = start[order]
-        self.finish = finish[order]
-        self.latency = runtime[order]
-        self.hit = (finish <= cols.deadlines[rid])[order]
-        self.entropy = entropy[order]
-        self.soc = soc_value_vec(soc_time, soc_accuracy, epi)[order]
-        self.soc_time = soc_time[order]
-        self.soc_accuracy = soc_accuracy[order]
+        return RecordTable(
+            {
+                "arrival_s": arrival[order],
+                "batch": take[order],
+                "deadline_hit": (finish <= cols.deadlines[rid])[order],
+                "entropy": entropy[order],
+                "finish_s": finish[order],
+                "latency_s": runtime[order],
+                "level": level[order],
+                "platform": pidx[order],
+                "rid": rid[order],
+                "soc": soc_value_vec(soc_time, soc_accuracy, epi)[order],
+                "soc_accuracy": soc_accuracy[order],
+                "soc_time": soc_time[order],
+                "start_s": start[order],
+                "tenant": tidx[order],
+            },
+            raw.names,
+            _tenant_pairs(self.tenants),
+        )
 
-    def _scan_flat(self, raw: _VecRaw) -> None:
+    def _scan_flat(self, raw: _VecRaw) -> Tuple[Dict[str, int], RecordTable]:
         """Event counts per kind from the compact rows, and the
         rejected requests."""
         counts = dict.fromkeys(EventLog.KINDS, 0)
@@ -540,190 +532,36 @@ class _VecRecords:
                 counts[row[1]] += 1
             else:
                 counts[_CODE_KINDS[code]] += 1
-        self.counts = counts
-        self.rejected, self.rejected_reasons = raw.rejections()
-        self.rejected_tidx = raw.cols.tenant_index[self.rejected]
-
-    # -- aggregates ------------------------------------------------------
-    def n_completed(self) -> int:
-        return len(self.rid)
-
-    def n_rejected(self) -> int:
-        return len(self.rejected)
-
-    def deadline_hits(self) -> int:
-        return int(self.hit.sum())
-
-    def mean_soc(self) -> float:
-        if not len(self.soc):
-            return 0.0
-        return sum(self.soc.tolist()) / len(self.soc)
-
-    def latencies(self) -> List[float]:
-        return self.latency.tolist()
-
-    def event_counts(self) -> Dict[str, int]:
-        return dict(self.counts)
-
-    def per_tenant(self) -> List[TenantStats]:
-        stats = []
-        by_name = sorted(
-            range(len(self.tenants)), key=lambda index: self.tenants[index].name
+        rids, reasons = raw.rejections()
+        rejected = RecordTable(
+            {
+                "arrival_s": raw.cols.arrivals[rids],
+                "reason": np.array(reasons, dtype=object),
+                "rid": rids,
+                "tenant": raw.cols.tenant_index[rids],
+            },
+            [],
+            _tenant_pairs(self.tenants),
         )
-        for index in by_name:
-            tenant = self.tenants[index]
-            done = self.tidx == index
-            n_done = int(done.sum())
-            n_rejected = int((self.rejected_tidx == index).sum())
-            if not n_done and not n_rejected:
-                continue
-            stats.append(
-                TenantStats(
-                    tenant=tenant.name,
-                    priority=tenant.priority,
-                    offered=n_done + n_rejected,
-                    completed=n_done,
-                    rejected=n_rejected,
-                    deadline_hits=int(self.hit[done].sum()),
-                    mean_soc=(
-                        sum(self.soc[done].tolist()) / n_done
-                        if n_done
-                        else 0.0
-                    ),
-                    mean_latency_s=(
-                        sum(self.latency[done].tolist()) / n_done
-                        if n_done
-                        else 0.0
-                    ),
-                )
-            )
-        return stats
-
-    # -- canonical record columns (key order of repro.serving.canonical)
-    def completed_columns(self) -> Iterator[tuple]:
-        # Batch times repeat across a batch and the entropy and SoC
-        # columns across a rung, so those render each distinct value
-        # once (80-99% of a chunk's values repeat on the benchmark's
-        # storm); arrivals and latencies are nearly all distinct.
-        tenant_names = [tenant.name for tenant in self.tenants]
-        names = self.raw.names
-        for start in range(0, len(self.rid), CHUNK):
-            window = slice(start, start + CHUNK)
-            yield (
-                self.arrival[window],
-                self.take[window],
-                self.hit[window],
-                encode_repeated(self.entropy[window]),
-                encode_repeated(self.finish[window]),
-                self.latency[window],
-                self.level[window],
-                [names[index] for index in self.pidx[window].tolist()],
-                self.rid[window],
-                encode_repeated(self.soc[window]),
-                encode_repeated(self.soc_accuracy[window]),
-                encode_repeated(self.soc_time[window]),
-                encode_repeated(self.start[window]),
-                [tenant_names[index] for index in self.tidx[window].tolist()],
-            )
-
-    def rejected_columns(self) -> Iterator[tuple]:
-        tenant_names = [tenant.name for tenant in self.tenants]
-        arrivals = self.raw.cols.arrivals
-        for start in range(0, len(self.rejected), CHUNK):
-            window = slice(start, start + CHUNK)
-            rids = self.rejected[window]
-            yield (
-                arrivals[rids],
-                self.rejected_reasons[window],
-                rids,
-                [tenant_names[index] for index in self.rejected_tidx[
-                    window].tolist()],
-            )
-
-    def event_columns(self, skip_kinds: Sequence[str]) -> Iterator[tuple]:
-        return event_chunks(
-            event
-            for event in self.raw.event_rows()
-            if event[1] not in skip_kinds
-        )
+        return counts, rejected
 
 
-class _LazyField:
-    """Non-data descriptor: materializes one deferred report field on
-    first access and caches it in the instance dict (which then
-    shadows the descriptor)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        value = getattr(report._vec_raw, self.name)()
-        report.__dict__[self.name] = value
-        return value
+def _tenant_pairs(tenants) -> List[Tuple[str, int]]:
+    return [(tenant.name, tenant.priority) for tenant in tenants]
 
 
-_LAZY_FIELDS = frozenset(("completed", "rejected", "events"))
-
-
-class VecRouterReport(RouterReport):
-    """A ``RouterReport`` whose per-request lists and event log are
-    materialized lazily from fast-mode raw rows.
+class VecRouterReport(LazyReport):
+    """The report of a fast-mode run: a
+    :class:`~repro.serving.report.LazyReport` over the run's
+    :class:`_VecRaw` rows.
 
     Everything a fleet-level consumer typically reads first
     (``platforms``, ``horizon_s``) is eager; ``completed`` /
     ``rejected`` / ``events`` materialize on demand and are
-    bit-identical to the object path's.  Until one of them does,
-    the aggregates, ``to_dict(include_events=False)`` and
-    ``fingerprint()`` read the columnar :class:`_VecRecords` source
-    instead, with byte-identical results.  Constructed with
-    keyword arguments only (``dataclasses.replace`` and
-    :meth:`RouterReport.merge` keep working: without ``_vec_raw`` the
-    class behaves exactly like its dataclass base).
+    bit-identical to the object path's.  Until one of them does, the
+    aggregates, ``to_dict(include_events=False)`` and ``fingerprint()``
+    read the columnar :class:`_VecRecords` source instead.
     """
-
-    completed = _LazyField("completed")
-    rejected = _LazyField("rejected")
-    events = _LazyField("events")
-
-    def __init__(self, *args, _vec_raw: Optional[_VecRaw] = None, **kwargs):
-        if _vec_raw is None:
-            super().__init__(*args, **kwargs)
-            return
-        self._vec_raw = _vec_raw
-        self.platforms = kwargs.get("platforms", [])
-        self.horizon_s = kwargs.get("horizon_s", 0.0)
-        self.resilience = None
-        self.obs = None
-        self.control = None
-        self.merged_from = None
-
-    def _records(self):
-        # The columnar source only while nothing is materialized: once
-        # any lazy field sits in the instance dict, the objects are
-        # authoritative and the object path reads them.
-        raw = self.__dict__.get("_vec_raw")
-        if raw is not None and _LAZY_FIELDS.isdisjoint(self.__dict__):
-            records = raw.records()
-            if records is not None:
-                return records
-        return super()._records()
-
-    def __getstate__(self):
-        # Force materialization before crossing a process boundary
-        # (spawned shard workers pickle their reports back).
-        raw = self.__dict__.get("_vec_raw")
-        if raw is not None:
-            _ = (self.completed, self.rejected, self.events)
-        state = dict(self.__dict__)
-        state.pop("_vec_raw", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 def _cached_states(router):
@@ -1112,7 +950,11 @@ def run_vectorized(
             dyn_push=dyn_push,
         ) -> None:
             queue = p.queue
-            while p.busy_until <= now and queue:
+            # Idle means the in-flight batch has landed, not merely that
+            # the clock reached its finish time: an event at exactly
+            # that time can run before the batch's free event, and
+            # launching then would overwrite (and lose) the batch.
+            while p.inflight is None and queue:
                 if avail_check and not p.state.available(now):
                     # Down, or breaker open/probing: hold the queue.
                     return
@@ -1593,7 +1435,7 @@ def run_vectorized(
                 obs.request_admitted(
                     request_at(rid), now, p.name, level, reason, len(p.queue)
                 )
-            if p.busy_until <= now:
+            if p.inflight is None:
                 try_dispatch(p, now)
             return reason
 
@@ -1722,7 +1564,7 @@ def run_vectorized(
                     flat_append(
                         (_E_ENQ, now, rid, p.index, level, value, latency)
                     )
-                    if p.busy_until <= now:
+                    if p.inflight is None:
                         try_dispatch(p, now)
                 else:
                     time_s, _seq, kind, payload = dyn.pop()
@@ -1766,7 +1608,7 @@ def run_vectorized(
                                     batch_entropy
                                 )
                         queue = p.queue
-                        while p.busy_until <= time_s and queue:
+                        while p.inflight is None and queue:
                             if p.dirty:
                                 if sort_key is None:
                                     queue.sort()
@@ -1904,7 +1746,7 @@ def run_vectorized(
     raw = _VecRaw(cols, flat, completed_rows, names)
     if not track:
         return VecRouterReport(
-            _vec_raw=raw, platforms=platforms, horizon_s=horizon
+            _source=raw, platforms=platforms, horizon_s=horizon
         )
     if faults is not None:
         completed_rids = {record.request.rid for record in completed}

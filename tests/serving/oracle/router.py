@@ -548,7 +548,9 @@ class ReferenceRouter(RequestRouter):
         """Launch batches on one platform while it is idle and its
         queue satisfies the flush policy; otherwise arm a flush timer."""
         now = self._now
-        while state.busy_until <= now and state.queue:
+        # Idle once the in-flight batch has landed: an event at exactly
+        # its finish time may run before its free event.
+        while state.inflight is None and state.queue:
             if self.config.resilience and not state.available(now):
                 # Down, or breaker open/probing: hold the queue.  A
                 # probe or restore event will wake the platform up.

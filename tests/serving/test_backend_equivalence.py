@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.fleet import FleetManager
 from repro.core.satisfaction import TimeRequirement
-from repro.faults import FaultTraceConfig, generate_fault_trace
+from repro.faults import (
+    FaultEvent,
+    FaultTrace,
+    FaultTraceConfig,
+    generate_fault_trace,
+)
 from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
 from repro.obs import Instrumentation
@@ -33,7 +38,12 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
+from repro.workloads import (
+    RequestTrace,
+    bursty_trace,
+    diurnal_trace,
+    pareto_trace,
+)
 from tests.serving import router_cases
 from tests.serving.oracle import ReferenceRouter, reference_loop
 from tests.serving.test_canonical_fingerprint import (
@@ -127,6 +137,25 @@ class TestTraceFamilies:
             seed=fault_seed,
         )
         ref, vec = _run_both(fleet, loads, faults=faults)
+        assert vec.fingerprint() == ref.fingerprint()
+
+    def test_retry_landing_on_a_finish_time(self, fleet):
+        """A retry whose backoff ends exactly when a platform's batch
+        finishes (0.7532551808022938 + exec == 0.7083781071701379 +
+        0.05 here) must wait for that batch to land.  Both loops used
+        to launch over it and lose its request."""
+        loads = [TenantLoad(SNAPPY, _trace("mmpp", 99, 162044))]
+        horizon = float(loads[0].trace.arrivals_s[-1]) + 0.5
+        faults = generate_fault_trace(
+            ["K20c", "TX1"],
+            horizon_s=horizon,
+            config=FaultTraceConfig(
+                outages=1, sm_failures=1, throttles=1, transients=2
+            ),
+            seed=2048,
+        )
+        ref, vec = _run_both(fleet, loads, faults=faults)
+        assert ref.n_offered == vec.n_offered == 99
         assert vec.fingerprint() == ref.fingerprint()
 
 
@@ -336,3 +365,124 @@ class TestReportPayloads:
             np.asarray([r.soc for r in vec.completed]),
             np.asarray([r.soc for r in ref.completed]),
         )
+
+
+#: Deadline-free tenant for the adversarial draws (module-level for the
+#: same reason as :data:`SNAPPY`).
+BULK = Tenant("bulk", TimeRequirement.background())
+
+
+@st.composite
+def adversarial_runs(draw):
+    """Inputs at the edges of the router's contract.
+
+    Up to three tenants, each with no request, exactly one, or a few
+    sharing a handful of arrival clocks (duplicates within and across
+    tenants); ``queue_limit`` as small as 1; optionally every platform
+    of the fleet out at once, restored or not.
+    """
+    clocks = st.sampled_from((0.0, 0.0005, 0.002, 0.002, 0.01))
+    loads = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        shape = draw(st.sampled_from(("empty", "single", "duplicates")))
+        if shape == "empty":
+            arrivals = []
+        elif shape == "single":
+            arrivals = [draw(clocks)]
+        else:
+            arrivals = sorted(
+                draw(st.lists(clocks, min_size=2, max_size=12))
+            )
+        base = SNAPPY if draw(st.booleans()) else BULK
+        tenant = Tenant(
+            "%s-%d" % (base.name, index),
+            base.requirement,
+            priority=draw(st.integers(min_value=0, max_value=2)),
+        )
+        loads.append(
+            TenantLoad(
+                tenant,
+                RequestTrace(
+                    arrivals_s=np.array(arrivals, dtype=float),
+                    difficulty=np.array(
+                        draw(
+                            st.lists(
+                                st.sampled_from((0.5, 1.0, 2.0)),
+                                min_size=len(arrivals),
+                                max_size=len(arrivals),
+                            )
+                        ),
+                        dtype=float,
+                    ),
+                ),
+            )
+        )
+    faults = None
+    if draw(st.booleans()):
+        outage_s = draw(st.sampled_from((0.0, 0.001, 0.002)))
+        restore_s = draw(st.sampled_from((None, 0.005, 0.05)))
+        events = []
+        for episode, platform in enumerate(("K20c", "TX1"), start=1):
+            events.append(
+                FaultEvent(time_s=outage_s, kind="outage",
+                           platform=platform, episode=episode)
+            )
+            if restore_s is not None:
+                events.append(
+                    FaultEvent(time_s=restore_s, kind="restore",
+                               platform=platform, episode=episode)
+                )
+        faults = FaultTrace(events)
+    config = RouterConfig(queue_limit=draw(st.sampled_from((1, 2, 64))))
+    return loads, faults, config
+
+
+def _outcome(router_class, fleet, loads, faults, config):
+    """The run's fingerprint, or the ``ValueError`` it raised."""
+    try:
+        report = router_class(fleet, config).run(loads, faults=faults)
+    except ValueError as error:
+        return ("ValueError", str(error))
+    return ("fingerprint", report.fingerprint())
+
+
+class TestAdversarialInputs:
+    """Same ``ValueError`` or same fingerprint, on inputs at the edges:
+    duplicate arrival clocks, empty and single-request tenants, an
+    all-platform outage and ``queue_limit=1``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=adversarial_runs())
+    def test_same_error_or_same_fingerprint(self, fleet, case):
+        loads, faults, config = case
+        assert _outcome(
+            RequestRouter, fleet, loads, faults, config
+        ) == _outcome(ReferenceRouter, fleet, loads, faults, config)
+
+    def test_all_platform_outage_with_one_slot_queues(self, fleet):
+        """The fixed worst case: every platform dies before the first
+        arrival and never returns, with one queue slot per platform."""
+        loads = [
+            TenantLoad(
+                Tenant("snappy-0", SNAPPY.requirement, priority=1),
+                RequestTrace(
+                    arrivals_s=np.array([0.001, 0.001, 0.002]),
+                    difficulty=np.ones(3),
+                ),
+            ),
+            TenantLoad(
+                Tenant("bulk-1", BULK.requirement),
+                RequestTrace(
+                    arrivals_s=np.array([0.001]), difficulty=np.ones(1)
+                ),
+            ),
+        ]
+        faults = FaultTrace([
+            FaultEvent(time_s=0.0, kind="outage", platform=platform,
+                       episode=episode)
+            for episode, platform in enumerate(("K20c", "TX1"), start=1)
+        ])
+        config = RouterConfig(queue_limit=1)
+        vec = _outcome(RequestRouter, fleet, loads, faults, config)
+        assert vec == _outcome(ReferenceRouter, fleet, loads, faults, config)
+        assert vec[0] == "fingerprint"

@@ -158,7 +158,7 @@ class TestByteIdentity:
                 )
             ]
         )
-        assert any(row[0] == _E_REJR for row in report._vec_raw.flat)
+        assert any(row[0] == _E_REJR for row in report._source.flat)
         assert_byte_identical(report)
 
     def test_vectorized_chaos_slow_mode(self, fleet, loads):
@@ -300,7 +300,7 @@ class TestFastModeStructure:
         self, fleet, loads, field, value, message
     ):
         report = self._fresh(fleet, loads)
-        rows = report._vec_raw.completed_rows
+        rows = report._source.completed_rows
         # Corrupt one batch row mid-run (energy per item, finish time
         # or entropy threshold): both sources must raise soc()'s error.
         row = list(rows[len(rows) // 2])
@@ -309,12 +309,12 @@ class TestFastModeStructure:
         with pytest.raises(ValueError, match=message):
             report.fingerprint()
         with pytest.raises(ValueError, match=message):
-            report._vec_raw.completed()
+            report._source.completed()
 
     def test_deadline_boundary_counts_as_hit(self, fleet, loads):
         report = self._fresh(fleet, loads)
-        cols = report._vec_raw.cols
-        rows = report._vec_raw.completed_rows
+        cols = report._source.cols
+        rows = report._source.completed_rows
         # Finish one batch exactly on its latest request's deadline:
         # ``finish_s <= deadline_s`` is a hit in both sources.
         index = next(

@@ -1,6 +1,8 @@
 """Tests for RouterReport.merge: exact associativity, order
-independence, ResilienceStats recombination, and percentile
-recomputation over merged records."""
+independence, ResilienceStats recombination, percentile recomputation
+over merged records, and byte-identity with the object-path oracle."""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,10 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
+from repro.serving.report import _LAZY_FIELDS as LAZY
 from repro.workloads import bursty_trace
+from tests.serving.oracle import merge_reports
+from tests.serving.test_canonical_fingerprint import streamed_payload
 
 #: Fixed platform -> GPU mapping so any two leaves mentioning the
 #: same platform agree on its hardware (merge rejects mismatches).
@@ -38,8 +43,14 @@ def _request(rid, tenant_name, arrival_s):
     )
 
 
+#: Arrival clocks drawn from a handful of values, so that records of
+#: different tenants and leaves tie on arrival and the merge's
+#: tie-breaks decide their order.
+TIED_ARRIVALS = st.sampled_from((0.0, 0.5, 0.5, 2.0))
+
+
 @st.composite
-def leaf_reports(draw):
+def leaf_reports(draw, arrivals=None):
     """One synthetic single-router report: dense local rids, one
     terminal record per request, events referencing those rids."""
     n_completed = draw(st.integers(min_value=0, max_value=4))
@@ -48,7 +59,8 @@ def leaf_reports(draw):
         st.floats(min_value=5.0, max_value=20.0, allow_nan=False)
     )
     tenants = st.sampled_from(("alpha", "beta", "gamma"))
-    arrivals = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+    if arrivals is None:
+        arrivals = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
     completed = []
     rejected = []
     events = EventLog()
@@ -295,3 +307,97 @@ class TestMergeEndToEnd:
         assert merged.percentile_latency_s(95.0) == linear_percentile(
             union, 95.0
         )
+
+
+def _groupings(draw, leaves):
+    """A random permutation of ``leaves`` cut into 1..3 merged groups
+    (a group of one stays a leaf)."""
+    order = draw(st.permutations(leaves))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=len(order) - 1),
+                max_size=2, unique=True,
+            )
+        )
+    )
+    bounds = [0, *cuts, len(order)]
+    return [
+        RouterReport.merge(order[start:end])
+        for start, end in zip(bounds, bounds[1:])
+    ]
+
+
+class TestMergeMatchesOracle:
+    """The columnar fold's canonical bytes equal the object-path
+    oracle's for every permutation and grouping of the leaves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        leaves=st.lists(
+            st.one_of(leaf_reports(), leaf_reports(TIED_ARRIVALS)),
+            min_size=2, max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_permutations_and_groupings(self, leaves, data):
+        oracle = merge_reports(leaves)
+        merged = RouterReport.merge(_groupings(data.draw, leaves))
+        assert streamed_payload(merged) == streamed_payload(oracle)
+        assert merged.per_tenant() == oracle.per_tenant()
+        assert merged.percentile_latency_s(95.0) == (
+            oracle.percentile_latency_s(95.0)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(leaves=st.lists(leaf_reports(TIED_ARRIVALS), min_size=2,
+                           max_size=3))
+    def test_lazy_lists_equal_oracle(self, leaves):
+        merged = RouterReport.merge(leaves)
+        oracle = merge_reports(leaves)
+        assert LAZY.isdisjoint(merged.__dict__)
+        assert merged.completed == oracle.completed
+        assert merged.rejected == oracle.rejected
+        assert merged.events.to_dicts() == oracle.events.to_dicts()
+
+    @settings(max_examples=15, deadline=None)
+    @given(leaves=st.lists(leaf_reports(), min_size=2, max_size=3))
+    def test_pickle_round_trip(self, leaves):
+        merged = RouterReport.merge(leaves)
+        payload = streamed_payload(merged)
+        clone = pickle.loads(pickle.dumps(merged))
+        assert "_source" not in clone.__dict__
+        assert streamed_payload(clone) == payload
+        assert clone.fingerprint() == merged.fingerprint()
+
+    def test_real_runs_match_oracle(self, fleet):
+        reports = [
+            RequestRouter(fleet, RouterConfig()).run([
+                TenantLoad(
+                    Tenant("tenant-%d" % index, _REQUIREMENT, priority=1),
+                    bursty_trace(60, 60.0, seed=200 + index),
+                )
+            ])
+            for index in range(3)
+        ]
+        merged = RouterReport.merge(reports)
+        assert streamed_payload(merged) == streamed_payload(
+            merge_reports(reports)
+        )
+
+    def test_missing_request_id_rejected_like_oracle(self):
+        events = EventLog()
+        events.record("enqueue", 0.0, tenant="alpha", request_ids=(7,))
+        leaf = RouterReport(
+            rejected=[RejectedRequest(request=_request(0, "alpha", 0.0),
+                                      reason="saturated")],
+            events=events,
+            horizon_s=1.0,
+        )
+        other = RouterReport(horizon_s=2.0)
+        with pytest.raises(ValueError) as columnar:
+            RouterReport.merge([leaf, other])
+        with pytest.raises(ValueError) as oracle:
+            merge_reports([leaf, other])
+        assert str(columnar.value) == str(oracle.value)
+        assert "no terminal record" in str(columnar.value)

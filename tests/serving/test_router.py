@@ -320,6 +320,22 @@ class TestEdgeCasesAndValidation:
         with pytest.raises(ValueError):
             RouterConfig(low_water_batches=5.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "min_gain",
+            "retry_backoff_s",
+            "retry_backoff_growth",
+            "flush_timeout_s",
+            "breaker_cooldown_s",
+        ],
+    )
+    def test_config_rejects_nan(self, field):
+        # NaN fails every comparison, so a ``value <= bound`` check
+        # lets it through; the error must name the field.
+        with pytest.raises(ValueError, match=field):
+            RouterConfig(**{field: math.nan})
+
     def test_tenant_load_rejects_non_tenant(self, snappy_tenant):
         trace = RequestTrace(
             arrivals_s=np.array([0.0]), difficulty=np.ones(1)

@@ -1,30 +1,47 @@
-"""Tests for repro.serving.shard: planner, fault splitting, and the
+"""Tests for repro.serving.shard: planner, fault splitting, the
 coordinator in inline mode (spawn parity is covered by the pickle
-suite and the sharding benchmark)."""
+suite and the sharding benchmark), and the columnar qualify/merge fold
+against its object-path oracle."""
+
+import pickle
 
 import pytest
 
+from repro.control import ControllerConfig
 from repro.core.satisfaction import TimeRequirement
 from repro.faults import FaultEvent, FaultTrace
 from repro.serving import (
+    CompletedRequest,
     FleetCoordinator,
     FleetSpec,
+    RejectedRequest,
+    Request,
     RequestRouter,
     RouterConfig,
+    RouterEvent,
+    RouterReport,
     Tenant,
     TenantLoad,
 )
+from repro.serving.report import _LAZY_FIELDS as LAZY
 from repro.serving.shard import (
     ShardPlanner,
     ShardSpec,
     parse_shard_platform,
+    qualify_report,
     run_shard,
     shard_label,
     shard_platform,
     shard_seed,
     split_fault_trace,
+    strip_requests,
 )
+from repro.serving.shard import coordinator as coordinator_module
 from repro.workloads import bursty_trace
+from tests.serving import test_shard_shared_fleet as shared_fleet
+from tests.serving.oracle import merge_reports
+from tests.serving.oracle import qualify_report as oracle_qualify
+from tests.serving.test_canonical_fingerprint import streamed_payload
 
 _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
 
@@ -348,3 +365,150 @@ class TestSpawnGuard:
         coordinator = FleetCoordinator(fleet_spec, n_shards=2)
         with pytest.raises(RuntimeError, match="stdin"):
             coordinator.run(shard_loads=[[_load("t0")], [_load("t1")]])
+
+
+def _fold_run(monkeypatch, case):
+    """One inline 4-shard coordinator run, plus the raw (unqualified)
+    shard reports the coordinator qualified, in shard order."""
+    config = RouterConfig(calibrate=case == "calibrate")
+    kwargs = {}
+    run_kwargs = {
+        "shard_loads": shared_fleet._shard_loads(
+            n_requests=40, rate_hz=60.0,
+            severity=2.0 if case == "calibrate" else 1.0,
+        )
+    }
+    if case == "chaos":
+        run_kwargs["faults"] = shared_fleet._dead_shard_faults()
+    if case == "controller":
+        kwargs["controller"] = ControllerConfig(kind="ewma")
+    if case == "instrumented":
+        run_kwargs["instrument"] = True
+    seen = []
+    qualify = coordinator_module.qualify_report
+
+    def recording(report, shard_id):
+        seen.append((report, shard_id))
+        return qualify(report, shard_id)
+
+    monkeypatch.setattr(coordinator_module, "qualify_report", recording)
+    outcome = shared_fleet._coordinator(config, **kwargs).run(**run_kwargs)
+    return outcome, seen
+
+
+def _same_records(report, oracle):
+    """Materialized lists equal the oracle's, events field by field."""
+    assert report.completed == oracle.completed
+    assert report.rejected == oracle.rejected
+    assert report.events.to_dicts() == oracle.events.to_dicts()
+
+
+class TestColumnarFold:
+    """Qualified views and the columnar merge are byte-identical to the
+    object-path oracle (``tests/serving/oracle/merge.py``)."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["clean", "chaos", "controller", "instrumented", "calibrate"],
+    )
+    def test_views_and_merge_match_oracle(self, case, monkeypatch):
+        outcome, seen = _fold_run(monkeypatch, case)
+        assert [shard_id for _report, shard_id in seen] == list(
+            range(shared_fleet.N_SHARDS)
+        )
+        # Streamed first: the columnar sources, before anything
+        # materializes.
+        views = [streamed_payload(view) for view in outcome.shard_reports]
+        merged = streamed_payload(outcome.report)
+        oracles = [
+            oracle_qualify(report, shard_id) for report, shard_id in seen
+        ]
+        assert views == [streamed_payload(oracle) for oracle in oracles]
+        oracle_merged = merge_reports(oracles)
+        assert merged == streamed_payload(oracle_merged)
+        if case == "chaos":
+            assert outcome.rehomed > 0
+        for view, oracle in zip(outcome.shard_reports, oracles):
+            _same_records(view, oracle)
+        _same_records(outcome.report, oracle_merged)
+
+    def test_merge_of_merges_matches_oracle(self, monkeypatch):
+        outcome, seen = _fold_run(monkeypatch, "clean")
+        views = list(outcome.shard_reports)
+        nested = RouterReport.merge(
+            [RouterReport.merge(views[:2]), RouterReport.merge(views[2:])]
+        )
+        oracle = merge_reports(
+            [oracle_qualify(report, shard_id) for report, shard_id in seen]
+        )
+        assert streamed_payload(nested) == streamed_payload(oracle)
+        assert nested.fingerprint() == outcome.report.fingerprint()
+
+    def test_strip_requests_on_a_view(self, fleet):
+        """A dead shard's ledger stripped through a view equals the
+        same strip over the oracle's qualified copy."""
+        loads = [_load("t0", n=20, seed=1), _load("t1", n=10, seed=2)]
+        faults = FaultTrace([
+            FaultEvent(time_s=0.001, kind="outage", platform=gpu,
+                       episode=episode)
+            for episode, gpu in enumerate(("K20c", "TX1"), start=1)
+        ])
+        report = RequestRouter(fleet, RouterConfig()).run(
+            loads, faults=faults
+        )
+        rids = [record.request.rid for record in report.rejected][::2]
+        assert rids
+        stripped = strip_requests(qualify_report(report, 1), rids)
+        oracle = strip_requests(oracle_qualify(report, 1), rids)
+        assert streamed_payload(stripped) == streamed_payload(oracle)
+
+    def test_pickled_views_and_merge_carry_qualified_names(
+        self, monkeypatch
+    ):
+        outcome, _seen = _fold_run(monkeypatch, "clean")
+        for report in (*outcome.shard_reports, outcome.report):
+            payload = streamed_payload(report)
+            clone = pickle.loads(pickle.dumps(report))
+            assert "_source" not in clone.__dict__
+            assert LAZY.issubset(clone.__dict__)
+            assert streamed_payload(clone) == payload
+        for shard_id, view in enumerate(outcome.shard_reports):
+            clone = pickle.loads(pickle.dumps(view))
+            prefix = shard_label(shard_id) + "/"
+            assert clone.completed and all(
+                record.platform.startswith(prefix)
+                for record in clone.completed
+            )
+            assert all(
+                event.platform.startswith(prefix)
+                for event in clone.events
+                if event.platform is not None
+            )
+
+
+class TestCleanRunStaysColumnar:
+    def test_no_request_or_event_objects(self, monkeypatch):
+        """A clean inline 4-shard run builds no per-request or
+        per-event object: every shard report, every view and the
+        merged report stay unmaterialized."""
+        built = []
+        for cls in (Request, CompletedRequest, RejectedRequest, RouterEvent):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        outcome = shared_fleet._coordinator().run(
+            shard_loads=shared_fleet._shard_loads(n_requests=40,
+                                                  rate_hz=60.0)
+        )
+        outcome.report.fingerprint()
+        outcome.report.to_dict(include_events=False)
+        assert outcome.report.n_offered == 40 * shared_fleet.N_SHARDS
+        assert built == []
+        reports = [outcome.report, *outcome.shard_reports]
+        reports += [view._source.report for view in outcome.shard_reports]
+        for report in reports:
+            assert LAZY.isdisjoint(report.__dict__)
