@@ -18,6 +18,7 @@ The paper scores an inference configuration by::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -53,6 +54,18 @@ class TimeRequirement:
     unusable_s: float
 
     def __post_init__(self) -> None:
+        for name in ("imperceptible_s", "unusable_s"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                # numpy scalars and other reals become plain floats, so
+                # every value derived from the bounds stays JSON-clean.
+                if not isinstance(value, numbers.Real):
+                    raise TypeError(
+                        "%s must be a real number, got %r" % (name, value)
+                    )
+                object.__setattr__(self, name, float(value))
+            if math.isnan(getattr(self, name)):
+                raise ValueError("%s must not be NaN" % name)
         if self.imperceptible_s <= 0:
             raise ValueError("T_i must be positive")
         if self.unusable_s < self.imperceptible_s:

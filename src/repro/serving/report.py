@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import (
     Callable,
@@ -52,7 +53,6 @@ __all__ = [
     "ResilienceStats",
     "RouterReport",
     "LazyReport",
-    "ObjectRecords",
     "RecordTable",
     "TableRecords",
     "check_conservation",
@@ -333,16 +333,24 @@ class RouterReport:
     )
 
     # -- fleet-level views ----------------------------------------------
-    def _records(self) -> "ObjectRecords":
+    def _records(self) -> "TableRecords":
         """The record source every aggregate, ``to_dict`` and
-        ``fingerprint`` read: the materialized object lists here;
-        subclasses may answer from a columnar source instead."""
-        return ObjectRecords(self)
+        ``fingerprint`` read: here, ``object`` columns built from the
+        object lists on each read, so lists mutated or replaced after
+        construction still count; a :class:`LazyReport` answers from
+        its source's columns instead."""
+        events = self.events
+        return TableRecords(
+            _completed_table(self.completed),
+            _rejected_table(self.rejected),
+            partial(_event_rows, events),
+            events.counts,
+        )
 
     @property
     def n_offered(self) -> int:
         """Every request that reached admission."""
-        return self.n_completed + self.n_rejected
+        return self._records().n_offered()
 
     @property
     def n_completed(self) -> int:
@@ -362,16 +370,14 @@ class RouterReport:
     @property
     def deadline_hit_rate(self) -> float:
         """Hits over offered requests (rejections count as misses)."""
-        if self.n_offered == 0:
-            return 0.0
-        return self.deadline_hits / self.n_offered
+        records = self._records()
+        return _rate(records.deadline_hits(), records)
 
     @property
     def rejection_rate(self) -> float:
         """Rejections over offered requests."""
-        if self.n_offered == 0:
-            return 0.0
-        return self.n_rejected / self.n_offered
+        records = self._records()
+        return _rate(records.n_rejected(), records)
 
     @property
     def mean_soc(self) -> float:
@@ -446,8 +452,8 @@ class RouterReport:
         single report returns it unchanged (the 1-shard degenerate
         case preserves existing fingerprints by construction).
 
-        The fold reads the leaves' record columns
-        (:meth:`TableRecords.completed_table` and friends), so merging
+        The fold reads the leaves' record columns (each leaf's
+        :class:`TableRecords` tables and event rows), so merging
         builds no per-request object; the result is a
         :class:`LazyReport` whose ``completed`` / ``rejected`` /
         ``events`` materialize from the leaves on first read.
@@ -636,24 +642,38 @@ class RouterReport:
         include_requests: bool = False,
     ) -> dict:
         """Stable plain-data schema (JSON-serializable)."""
+        data = self._summary_dict(self._records())
+        if include_events:
+            data["events"] = self.events.to_dicts()
+        if include_requests:
+            data["completed"] = [r.to_dict() for r in self.completed]
+            data["rejected"] = [r.to_dict() for r in self.rejected]
+        return data
+
+    def _summary_dict(self, records: "TableRecords") -> dict:
+        """``to_dict(include_events=False)``, read off one record
+        source: the same values the properties answer one by one."""
+        rejected = records.n_rejected()
+        hits = records.deadline_hits()
+        latencies = records.latencies()
         data = {
             "summary": {
-                "offered": self.n_offered,
-                "completed": self.n_completed,
-                "rejected": self.n_rejected,
-                "deadline_hits": self.deadline_hits,
-                "deadline_hit_rate": self.deadline_hit_rate,
-                "rejection_rate": self.rejection_rate,
-                "mean_soc": self.mean_soc,
-                "p50_latency_s": self.percentile_latency_s(50.0),
-                "p95_latency_s": self.percentile_latency_s(95.0),
-                "p99_latency_s": self.percentile_latency_s(99.0),
+                "offered": records.n_offered(),
+                "completed": records.n_completed(),
+                "rejected": rejected,
+                "deadline_hits": hits,
+                "deadline_hit_rate": _rate(hits, records),
+                "rejection_rate": _rate(rejected, records),
+                "mean_soc": records.mean_soc(),
+                "p50_latency_s": linear_percentile(latencies, 50.0),
+                "p95_latency_s": linear_percentile(latencies, 95.0),
+                "p99_latency_s": linear_percentile(latencies, 99.0),
                 "total_energy_j": self.total_energy_j,
                 "horizon_s": self.horizon_s,
             },
-            "tenants": [stats.to_dict() for stats in self.per_tenant()],
+            "tenants": [stats.to_dict() for stats in records.per_tenant()],
             "platforms": [stats.to_dict() for stats in self.platforms],
-            "event_counts": self._records().event_counts(),
+            "event_counts": records.event_counts(),
         }
         if self.resilience is not None:
             data["resilience"] = self.resilience.to_dict()
@@ -661,11 +681,6 @@ class RouterReport:
             data["obs"] = self.obs
         if self.control is not None:
             data["control"] = self.control
-        if include_events:
-            data["events"] = self.events.to_dicts()
-        if include_requests:
-            data["completed"] = [r.to_dict() for r in self.completed]
-            data["rejected"] = [r.to_dict() for r in self.rejected]
         return data
 
     def to_json(self, **kwargs) -> str:
@@ -703,7 +718,8 @@ class RouterReport:
         the cache-temperature filtering below applied; the record lists
         are rendered chunk by chunk by
         :func:`repro.serving.canonical.encode_report`."""
-        data = self.to_dict(include_events=False)
+        records = self._records()
+        data = self._summary_dict(records)
         data["event_counts"] = {
             kind: count
             for kind, count in data["event_counts"].items()
@@ -724,7 +740,6 @@ class RouterReport:
             if isinstance(prewarm, dict):
                 control["prewarm"] = {"requested": prewarm.get("requested")}
             data["control"] = control
-        records = self._records()
         return encode_report(
             data,
             {
@@ -735,214 +750,77 @@ class RouterReport:
         )
 
 
-class ObjectRecords:
-    """Record source over a report's materialized object lists.
+def _rate(count: int, records: "TableRecords") -> float:
+    """``count`` over the offered requests (0.0 when none were)."""
+    offered = records.n_offered()
+    return count / offered if offered else 0.0
 
-    The object path: every aggregate is computed from the
-    ``CompletedRequest`` / ``RejectedRequest`` / ``RouterEvent``
-    objects, and the record columns the canonical encoder streams are
-    read off them chunk by chunk.  Chaos, controlled and instrumented
-    router runs use it, and so does any report once one of its lazy
-    fields has materialized.  Its methods are the record-source
-    interface; :class:`TableRecords` implements the same ones over
-    columns, including the raw-column accessors
-    (:meth:`completed_table`, :meth:`rejected_table`,
-    :meth:`event_rows`) that :meth:`RouterReport.merge` and shard
-    qualification read.
-    """
 
-    __slots__ = ("report",)
+def _completed_table(completed: Sequence[CompletedRequest]) -> "RecordTable":
+    """``object`` columns over completion records, in list order."""
+    requests = [r.request for r in completed]
+    socs = [r.soc for r in completed]
+    platform, platforms = _indexed([r.platform for r in completed])
+    tenant, tenants = _indexed(
+        [(q.tenant.name, q.tenant.priority) for q in requests]
+    )
+    return RecordTable(
+        {
+            "arrival_s": _objects([q.arrival_s for q in requests]),
+            "batch": _objects([r.batch for r in completed]),
+            "deadline_hit": _objects([r.deadline_hit for r in completed]),
+            "entropy": _objects([r.entropy for r in completed]),
+            "finish_s": _objects([r.finish_s for r in completed]),
+            "latency_s": _objects([r.latency_s for r in completed]),
+            "level": _objects([r.level for r in completed]),
+            "platform": platform,
+            "rid": _objects([q.rid for q in requests]),
+            "soc": _objects([s.value for s in socs]),
+            "soc_accuracy": _objects([s.soc_accuracy for s in socs]),
+            "soc_time": _objects([s.soc_time for s in socs]),
+            "start_s": _objects([r.start_s for r in completed]),
+            "tenant": tenant,
+        },
+        platforms,
+        tenants,
+    )
 
-    def __init__(self, report: RouterReport) -> None:
-        self.report = report
 
-    def n_completed(self) -> int:
-        return len(self.report.completed)
+def _rejected_table(rejected: Sequence[RejectedRequest]) -> "RecordTable":
+    """``object`` columns over rejection records, in list order."""
+    requests = [r.request for r in rejected]
+    tenant, tenants = _indexed(
+        [(q.tenant.name, q.tenant.priority) for q in requests]
+    )
+    return RecordTable(
+        {
+            "arrival_s": _objects([q.arrival_s for q in requests]),
+            "reason": _objects([r.reason for r in rejected]),
+            "rid": _objects([q.rid for q in requests]),
+            "tenant": tenant,
+        },
+        [],
+        tenants,
+    )
 
-    def n_rejected(self) -> int:
-        return len(self.report.rejected)
 
-    def rejection_reasons(self) -> Set[str]:
-        return {record.reason for record in self.report.rejected}
-
-    def deadline_hits(self) -> int:
-        return sum(1 for record in self.report.completed if record.deadline_hit)
-
-    def mean_soc(self) -> float:
-        completed = self.report.completed
-        if not completed:
-            return 0.0
-        return sum(r.soc.value for r in completed) / len(completed)
-
-    def latencies(self) -> List[float]:
-        """Completed-request latencies in rid order."""
-        return [r.latency_s for r in self.report.completed]
-
-    def event_counts(self) -> Dict[str, int]:
-        return self.report.events.counts
-
-    def per_tenant(self) -> List[TenantStats]:
-        """Tenant aggregates, sorted by tenant name."""
-        tenants: Dict[str, dict] = {}
-
-        def bucket(name: str, priority: int) -> dict:
-            if name not in tenants:
-                tenants[name] = {
-                    "priority": priority,
-                    "completed": [],
-                    "rejected": 0,
-                }
-            return tenants[name]
-
-        for record in self.report.completed:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["completed"].append(record)
-        for record in self.report.rejected:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["rejected"] += 1
-        stats = []
-        for name in sorted(tenants):
-            data = tenants[name]
-            done = data["completed"]
-            offered = len(done) + data["rejected"]
-            stats.append(
-                TenantStats(
-                    tenant=name,
-                    priority=data["priority"],
-                    offered=offered,
-                    completed=len(done),
-                    rejected=data["rejected"],
-                    deadline_hits=sum(1 for r in done if r.deadline_hit),
-                    mean_soc=(
-                        sum(r.soc.value for r in done) / len(done)
-                        if done
-                        else 0.0
-                    ),
-                    mean_latency_s=(
-                        sum(r.latency_s for r in done) / len(done)
-                        if done
-                        else 0.0
-                    ),
-                )
-            )
-        return stats
-
-    # -- canonical record columns (key order of repro.serving.canonical)
-    def completed_columns(self) -> Iterator[tuple]:
-        completed = self.report.completed
-        for start in range(0, len(completed), CHUNK):
-            chunk = completed[start:start + CHUNK]
-            requests = [r.request for r in chunk]
-            socs = [r.soc for r in chunk]
-            yield (
-                [q.arrival_s for q in requests],
-                [r.batch for r in chunk],
-                [r.deadline_hit for r in chunk],
-                [r.entropy for r in chunk],
-                [r.finish_s for r in chunk],
-                [r.latency_s for r in chunk],
-                [r.level for r in chunk],
-                [r.platform for r in chunk],
-                [q.rid for q in requests],
-                [s.value for s in socs],
-                [s.soc_accuracy for s in socs],
-                [s.soc_time for s in socs],
-                [r.start_s for r in chunk],
-                [q.tenant.name for q in requests],
-            )
-
-    def rejected_columns(self) -> Iterator[tuple]:
-        rejected = self.report.rejected
-        for start in range(0, len(rejected), CHUNK):
-            chunk = rejected[start:start + CHUNK]
-            requests = [r.request for r in chunk]
-            yield (
-                [q.arrival_s for q in requests],
-                [r.reason for r in chunk],
-                [q.rid for q in requests],
-                [q.tenant.name for q in requests],
-            )
-
-    def event_columns(self, skip_kinds: Sequence[str]) -> Iterator[tuple]:
-        return event_chunks(
-            (
-                event.time_s,
-                event.kind,
-                event.tenant,
-                event.platform,
-                event.request_ids,
-                event.detail,
-            )
-            for event in self.report.events
-            if event.kind not in skip_kinds
+def _event_rows(events: EventLog) -> Iterator[tuple]:
+    """``(time_s, kind, tenant, platform, request_ids, detail)`` per
+    event, in log order."""
+    for event in events:
+        yield (
+            event.time_s,
+            event.kind,
+            event.tenant,
+            event.platform,
+            event.request_ids,
+            event.detail,
         )
-
-    # -- raw columns (what merge and shard qualification read) ----------
-    def completed_table(self) -> "RecordTable":
-        completed = self.report.completed
-        requests = [r.request for r in completed]
-        socs = [r.soc for r in completed]
-        platform, platforms = _indexed([r.platform for r in completed])
-        tenant, tenants = _indexed(
-            [(q.tenant.name, q.tenant.priority) for q in requests]
-        )
-        return RecordTable(
-            {
-                "arrival_s": _objects([q.arrival_s for q in requests]),
-                "batch": _objects([r.batch for r in completed]),
-                "deadline_hit": _objects([r.deadline_hit for r in completed]),
-                "entropy": _objects([r.entropy for r in completed]),
-                "finish_s": _objects([r.finish_s for r in completed]),
-                "latency_s": _objects([r.latency_s for r in completed]),
-                "level": _objects([r.level for r in completed]),
-                "platform": platform,
-                "rid": _objects([q.rid for q in requests]),
-                "soc": _objects([s.value for s in socs]),
-                "soc_accuracy": _objects([s.soc_accuracy for s in socs]),
-                "soc_time": _objects([s.soc_time for s in socs]),
-                "start_s": _objects([r.start_s for r in completed]),
-                "tenant": tenant,
-            },
-            platforms,
-            tenants,
-        )
-
-    def rejected_table(self) -> "RecordTable":
-        rejected = self.report.rejected
-        requests = [r.request for r in rejected]
-        tenant, tenants = _indexed(
-            [(q.tenant.name, q.tenant.priority) for q in requests]
-        )
-        return RecordTable(
-            {
-                "arrival_s": _objects([q.arrival_s for q in requests]),
-                "reason": _objects([r.reason for r in rejected]),
-                "rid": _objects([q.rid for q in requests]),
-                "tenant": tenant,
-            },
-            [],
-            tenants,
-        )
-
-    def event_rows(self) -> Iterator[tuple]:
-        """``(time_s, kind, tenant, platform, request_ids, detail)`` per
-        event, in log order."""
-        for event in self.report.events:
-            yield (
-                event.time_s,
-                event.kind,
-                event.tenant,
-                event.platform,
-                event.request_ids,
-                event.detail,
-            )
 
 
 def _objects(values: list) -> np.ndarray:
     """An ``object`` column holding exactly ``values``: rendering and
-    builtin sums over it see the object path's own values and types."""
+    builtin sums over it see the records' own values and types."""
     return np.fromiter(values, dtype=object, count=len(values))
 
 
@@ -1078,9 +956,11 @@ class TableRecords:
     Answers every aggregate ``RouterReport`` reads and streams the
     canonical record columns without building a ``Request``,
     ``CompletedRequest``, ``RejectedRequest`` or ``RouterEvent``.  Every
-    sum is a builtin ``sum`` over the same values in the same rid order
-    as the object path.  Fast-mode router runs, qualified shard views
-    and merged reports all answer through it.
+    sum is a builtin ``sum`` over the values in record order, which is
+    rid order for every report a router run or a merge produces.
+    Router runs, qualified shard views and merged reports answer
+    through typed columns; a report built from object lists answers
+    through ``object`` columns that hold the records' own values.
 
     ``event_rows`` is a zero-argument callable returning the events as
     ``(time_s, kind, tenant, platform, request_ids, detail)`` tuples in
@@ -1106,6 +986,9 @@ class TableRecords:
     def n_rejected(self) -> int:
         return len(self.rejected)
 
+    def n_offered(self) -> int:
+        return len(self.completed) + len(self.rejected)
+
     def rejection_reasons(self) -> Set[str]:
         return set(self.rejected.columns["reason"].tolist())
 
@@ -1126,8 +1009,8 @@ class TableRecords:
 
     def per_tenant(self) -> List[TenantStats]:
         """Tenant aggregates, sorted by tenant name.  A tenant's
-        priority is that of its first completed record in rid order,
-        else of its first rejected one -- as the object path buckets."""
+        priority is that of its first completed record, else of its
+        first rejected one."""
         done_table, refused_table = self.completed, self.rejected
         names = sorted(
             {name for name, _ in done_table.tenants}
@@ -1184,13 +1067,7 @@ class TableRecords:
             row for row in self._event_rows() if row[1] not in skip_kinds
         )
 
-    # -- raw columns -----------------------------------------------------
-    def completed_table(self) -> RecordTable:
-        return self.completed
-
-    def rejected_table(self) -> RecordTable:
-        return self.rejected
-
+    # -- raw event rows --------------------------------------------------
     def event_rows(self) -> Iterator[tuple]:
         return self._event_rows()
 
@@ -1243,10 +1120,10 @@ class LazyReport(RouterReport):
 
     ``_source`` supplies them: ``completed()`` / ``rejected()`` /
     ``events()`` build the object lists, and ``records()`` returns the
-    columnar record source (or ``None`` to decline).  Until a lazy
-    field materializes, the aggregates, ``to_dict`` without requests
-    and ``fingerprint()`` read that columnar source, with byte-identical
-    results; afterwards the objects are authoritative.  Without a
+    columnar record source.  Until a lazy field materializes, the
+    aggregates, ``to_dict`` without requests and ``fingerprint()`` read
+    that columnar source, with byte-identical results; afterwards the
+    object lists are authoritative.  Without a
     ``_source`` the class behaves exactly like its dataclass base, so
     ``dataclasses.replace`` keeps working.  Pickling materializes
     first: a lazy report crosses a process boundary as plain objects.
@@ -1263,12 +1140,10 @@ class LazyReport(RouterReport):
                 del self.__dict__[name]
             self._source = _source
 
-    def _records(self):
+    def _records(self) -> "TableRecords":
         source = self.__dict__.get("_source")
         if source is not None and _LAZY_FIELDS.isdisjoint(self.__dict__):
-            records = source.records()
-            if records is not None:
-                return records
+            return source.records()
         return super()._records()
 
     def __getstate__(self):
@@ -1295,8 +1170,8 @@ class _MergedSource:
     def __init__(self, leaves: Sequence[RouterReport]) -> None:
         self.leaves = leaves
         sources = [leaf._records() for leaf in leaves]
-        done_tables = [source.completed_table() for source in sources]
-        refused_tables = [source.rejected_table() for source in sources]
+        done_tables = [source.completed for source in sources]
+        refused_tables = [source.rejected for source in sources]
         names = sorted(
             {
                 name

@@ -89,8 +89,8 @@ class _QualifiedSource:
         if self._records is None:
             base = self.report._records()
             self._records = TableRecords(
-                base.completed_table().renamed(self._name),
-                base.rejected_table(),
+                base.completed.renamed(self._name),
+                base.rejected,
                 partial(self._event_rows, base),
                 base.event_counts(),
             )

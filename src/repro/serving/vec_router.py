@@ -26,23 +26,26 @@ to the oracle's on every seed -- asserted by
 ``tests/serving/test_backend_equivalence.py`` and frozen in
 ``tests/goldens/router_fingerprints.json``.
 
-Two execution modes share one event loop:
+Every run records the same way: requests stay virtual (integer row
+ids), each completed batch is one compact row, and events are compact
+kind-coded rows (``_E_RAW`` for the fault, resilience and control
+kinds).  The returned :class:`~repro.serving.report.LazyReport`
+answers its aggregates, ``to_dict(include_events=False)`` and
+``fingerprint()`` from columns over those rows, and materializes
+``completed`` / ``rejected`` / ``events`` only on first access.
+
+Two loop variants drive the same state and rows:
 
 * **fast** (no faults, no controller, instrumentation disabled):
-  requests stay virtual (integer row ids), events are compact
-  kind-coded rows expanded lazily, per-request SoC breakdowns are
-  deferred, and whole saturation bursts -- every arrival landing
-  before the next dynamic event while all queues are full -- are
-  rejected in one ``bisect_right`` instead of per-request admission.
-  The returned :class:`VecRouterReport` materializes ``completed`` /
-  ``rejected`` / ``events`` on first access, and answers its
-  aggregates, ``to_dict(include_events=False)`` and ``fingerprint()``
-  from columns over the raw rows without materializing at all.
+  admission and the free-dispatch chain are inlined, and whole
+  saturation bursts -- every arrival landing before the next dynamic
+  event while all queues are full -- are rejected in one
+  ``bisect_right`` instead of per-request admission.
 * **tracked** (fault-injected, controlled and/or instrumented runs):
-  the same loop eagerly materializes ``Request`` / ``InFlightBatch``
-  objects, calls every observability/resilience hook at the
-  reference's exact call sites, and fires the control plane's ticks
-  as a fifth dynamic event kind.
+  merges the fault stream in, calls every observability/resilience
+  hook at the reference's exact call sites (fed ``request_at(rid)``
+  where a hook takes a ``Request``), and fires the control plane's
+  ticks as a fifth dynamic event kind.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from repro.serving.report import (
     RecordTable,
     RejectedRequest,
     ResilienceStats,
-    RouterReport,
     TableRecords,
     check_conservation,
     event_log,
@@ -82,7 +84,7 @@ from repro.sim.vec.scoring import (
     soc_value_vec,
 )
 
-__all__ = ["run_vectorized", "VecRouterReport"]
+__all__ = ["run_vectorized"]
 
 _INF = math.inf
 
@@ -248,15 +250,11 @@ class _VecRaw:
         self.names = names
         self._records = None
 
-    def records(self) -> Optional["_VecRecords"]:
-        """The columnar record source, built once per report; ``None``
-        when :meth:`_VecRecords.accepts` turns the rows down."""
+    def records(self) -> "_VecRecords":
+        """The columnar record source, built once per report."""
         if self._records is None:
-            # False marks "checked and refused", so the check runs once.
-            self._records = (
-                _VecRecords(self) if _VecRecords.accepts(self) else False
-            )
-        return self._records or None
+            self._records = _VecRecords(self)
+        return self._records
 
     def completed(self) -> List[CompletedRequest]:
         out: List[CompletedRequest] = []
@@ -413,7 +411,7 @@ class _VecRaw:
 
 
 class _VecRecords(TableRecords):
-    """Columnar record source over one fast-mode run's raw rows.
+    """Columnar record source over one run's raw rows.
 
     Builds the :class:`~repro.serving.report.RecordTable` columns
     straight from the compact rows -- no ``Request``,
@@ -428,22 +426,6 @@ class _VecRecords(TableRecords):
         counts, rejected = self._scan_flat(raw)
         super().__init__(
             self._build_completed(raw), rejected, raw.event_rows, counts
-        )
-
-    @staticmethod
-    def accepts(raw: _VecRaw) -> bool:
-        """Whether every tenant's time requirement is a plain Python
-        ``int``/``float``.  Only then are the object path's records
-        plain Python numbers too, the types these columns convert back
-        to: a caller's numpy scalar there would change how ``json``
-        treats a record (``numpy.bool_`` does not serialize) and how
-        ``sum`` adds it (Python 3.12 compensates exact floats only), so
-        such a report stays on the object path."""
-        number = (int, float)
-        return all(
-            type(tenant.requirement.imperceptible_s) in number
-            and type(tenant.requirement.unusable_s) in number
-            for tenant in raw.cols.tenants
         )
 
     def _build_completed(self, raw: _VecRaw) -> RecordTable:
@@ -473,9 +455,10 @@ class _VecRecords(TableRecords):
         arrival = cols.arrivals[rid]
         entropy = ent * cols.difficulty[rid]
         runtime = finish - arrival
-        # ``soc()``'s argument checks, raised exactly as the object
-        # path would: the first offending request in completion order
-        # re-runs the scalar function, which raises its own error.
+        # ``soc()``'s argument checks, raised exactly as materializing
+        # ``completed`` would: the first offending request in
+        # completion order re-runs the scalar function, which raises
+        # its own error.
         bad = (epi <= 0) | (runtime < 0) | (entropy < 0) | (thr <= 0)
         if bad.any():
             first = int(np.argmax(bad))
@@ -548,20 +531,6 @@ class _VecRecords(TableRecords):
 
 def _tenant_pairs(tenants) -> List[Tuple[str, int]]:
     return [(tenant.name, tenant.priority) for tenant in tenants]
-
-
-class VecRouterReport(LazyReport):
-    """The report of a fast-mode run: a
-    :class:`~repro.serving.report.LazyReport` over the run's
-    :class:`_VecRaw` rows.
-
-    Everything a fleet-level consumer typically reads first
-    (``platforms``, ``horizon_s``) is eager; ``completed`` /
-    ``rejected`` / ``events`` materialize on demand and are
-    bit-identical to the object path's.  Until one of them does, the
-    aggregates, ``to_dict(include_events=False)`` and ``fingerprint()``
-    read the columnar :class:`_VecRecords` source instead.
-    """
 
 
 def _cached_states(router):
@@ -642,7 +611,7 @@ def run_vectorized(
     faults: Optional[FaultTrace] = None,
     obs: Optional[Instrumentation] = None,
     controller: Optional[object] = None,
-) -> RouterReport:
+) -> LazyReport:
     """Serve every tenant's trace: the body of
     :meth:`RequestRouter.run`, with its signature and report."""
     config = router.config
@@ -748,7 +717,6 @@ def run_vectorized(
             if controller.tick_s <= last_arrival_s:
                 dyn_push(controller.tick_s, _TICK, 0)
 
-        completed: List[CompletedRequest] = []
         completed_rows: List[tuple] = []
         attempts = {}
         rescued_rids = set()
@@ -800,7 +768,7 @@ def run_vectorized(
             ``(platform, level, latency, value, reason)`` with
             ``platform=None`` on rejection.
 
-            The scan body is duplicated inline in ``on_arrival`` (the
+            The scan body is duplicated inline in the fast loop (the
             hottest path in the loop); any change here must land
             there too -- the differential suite will catch a drift.
             The -inf/+inf seeds make the first open platform win its
@@ -1066,9 +1034,7 @@ def run_vectorized(
             state.requests_served += take
             state.busy_s += exec_s
             state.energy_j += energy
-            batch_entropy = 0.0
             if track:
-                difficulty = cols.difficulty_list
                 if state.breaker is not None:
                     move = state.breaker.on_success(now)
                     if move is not None:
@@ -1077,44 +1043,20 @@ def run_vectorized(
                         )
                         obs.breaker_transition(p.name, move, now)
                 obs.batch_completed(p.name, batch, finish, energy)
-                for rid in rids:
-                    request = request_at(rid)
-                    entropy = ent * difficulty[rid]
-                    if entropy > batch_entropy:
-                        batch_entropy = entropy
-                    completed.append(
-                        CompletedRequest(
-                            request=request,
-                            platform=p.name,
-                            level=level,
-                            batch=take,
-                            start_s=start,
-                            finish_s=finish,
-                            entropy=entropy,
-                            soc=soc(
-                                runtime_s=finish - arrivals[rid],
-                                requirement=request.tenant.requirement,
-                                entropy=entropy,
-                                entropy_threshold=p.thr,
-                                energy_joules=epi,
-                            ),
-                        )
-                    )
-            else:
-                completed_rows.append(
-                    (rids, p.name, level, take, start, finish, epi, ent, p.thr)
-                )
+            completed_rows.append(
+                (rids, p.name, level, take, start, finish, epi, ent, p.thr)
+            )
             flat_append((_E_COMP, finish, p.index, rids, level))
             if track:
                 for rid in rids:
                     obs.request_completed(request_at(rid), finish, p.name, level)
             if calibrate and level == 0:
-                if not track:
-                    difficulty = cols.difficulty_list
-                    for rid in rids:
-                        entropy = ent * difficulty[rid]
-                        if entropy > batch_entropy:
-                            batch_entropy = entropy
+                difficulty = cols.difficulty_list
+                batch_entropy = 0.0
+                for rid in rids:
+                    entropy = ent * difficulty[rid]
+                    if entropy > batch_entropy:
+                        batch_entropy = entropy
                 state.deployment.observe_entropy(batch_entropy)
 
         def retry_or_reject(rid: int) -> None:
@@ -1343,88 +1285,12 @@ def run_vectorized(
                     complete(p, row, batch)
             try_dispatch(p, now)
 
-        def on_arrival(
-            rid: int,
-            now: float,
-            # Inlined copy of ``admit``'s scan (see its docstring):
-            # the call-and-unpack overhead is measurable at this call
-            # frequency, so the hot path pays for the duplication.
-            ps=ps,
-            queue_limit=queue_limit,
-            avail_check=avail_check,
-            fifo=fifo,
-            tenant_index=tenant_index,
-            t_imp=t_imp,
-            t_unu=t_unu,
-            t_span=t_span,
-            has_deadline=has_deadline,
-            flat_append=flat_append,
-            track=track,
-        ) -> str:
-            tidx = tenant_index[rid]
-            imp = t_imp[tidx]
-            unu = t_unu[tidx]
-            span = t_span[tidx]
-            best = None
-            best_level = 0
-            best_st = 0.0
-            best_value = -_INF
-            best_latency = _INF
-            for p in ps:
-                queued = len(p.queue)
-                if queued >= queue_limit:
-                    continue
-                if avail_check and not p.state.available(now):
-                    continue
-                # The accuracy column first: filling it materializes a
-                # lazy rung, which is where a live ladder compiles it.
-                column = p.cur_sa
-                if column is None:
-                    column = sa_fill(p, p.level)
-                wait = p.busy_until - now
-                if wait < 0.0:
-                    wait = 0.0
-                capacity = p.cur_bl
-                exec_s = p.cur_el
-                assembly = 0.0 if (queued + 1) % capacity == 0 else p.ft
-                latency = (
-                    wait + (queued // capacity) * exec_s + assembly + exec_s
-                )
-                if latency <= imp:
-                    st = 1.0
-                elif latency >= unu:
-                    st = 0.0
-                else:
-                    st = 1.0 - (latency - imp) / span
-                value = st * column[rid] / p.cur_epi
-                if fifo:
-                    pick = latency < best_latency
-                else:
-                    pick = value > best_value or (
-                        value == best_value and latency < best_latency
-                    )
-                if pick:
-                    best = p
-                    best_level = p.level
-                    best_value = value
-                    best_latency = latency
-                    best_st = st
-            if best is None:
-                reject(rid, now, "saturated")
-                return "saturated"
-            if best_st > 0.0 or not has_deadline[rid]:
-                p = best
-                level = best_level
-                latency = best_latency
-                value = best_value
-                reason = "ok"
-            else:
-                p, level, latency, value, reason = admit_tail(
-                    rid, now, imp, unu, span
-                )
-                if p is None:
-                    reject(rid, now, reason)
-                    return reason
+        def on_arrival(rid: int, now: float) -> None:
+            p, level, latency, value, reason = admit(rid, now)
+            if p is None:
+                reject(rid, now, reason)
+                return
+            if reason == "ok-degraded":
                 flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
                 if track:
                     obs.degradation_move(p.name, "degrade", p.ctrl.level, now)
@@ -1437,7 +1303,6 @@ def run_vectorized(
                 )
             if p.inflight is None:
                 try_dispatch(p, now)
-            return reason
 
         # -- the merged event loop --------------------------------------
         # Three pre-ordered streams replace the reference heap: the
@@ -1476,13 +1341,13 @@ def run_vectorized(
                     now = ta
                     rid = ai
                     ai += 1
-                    # Inlined fast-mode admission -- the third copy of
-                    # ``admit``'s scan (see its docstring; keep all
-                    # three in sync).  Relative to ``on_arrival`` it
-                    # drops the statically dead fast-mode branches
-                    # (``avail_check`` is False without faults, obs is
-                    # disabled) and the call/return overhead, both
-                    # measurable at one call per arrival.
+                    # Inlined fast-mode admission -- the second copy of
+                    # ``admit``'s scan (see its docstring; keep both in
+                    # sync).  It drops the statically dead fast-mode
+                    # branches (``avail_check`` is False without
+                    # faults, obs is disabled) and the call/return
+                    # overhead, both measurable at one call per
+                    # arrival.
                     imp = imp_r[rid]
                     unu = unu_r[rid]
                     span = span_r[rid]
@@ -1728,28 +1593,22 @@ def run_vectorized(
 
     check_conservation(
         expected,
-        len(completed) if track else sum(row[3] for row in completed_rows),
+        sum(row[3] for row in completed_rows),
         counters["rejected"],
         "router run",
     )
     horizon = 0.0
-    if track:
-        if completed:
-            horizon = max(horizon, max(r.finish_s for r in completed))
-    elif completed_rows:
+    if completed_rows:
         horizon = max(horizon, max(row[5] for row in completed_rows))
     if n:
         horizon = max(horizon, arrivals[n - 1])
     obs.run_finished(horizon)
 
-    platforms = router._platform_stats(states, horizon)
-    raw = _VecRaw(cols, flat, completed_rows, names)
-    if not track:
-        return VecRouterReport(
-            _source=raw, platforms=platforms, horizon_s=horizon
-        )
+    resilience_stats = None
     if faults is not None:
-        completed_rids = {record.request.rid for record in completed}
+        completed_rids = set(
+            chain.from_iterable(row[0] for row in completed_rows)
+        )
         breakers = [
             p.state.breaker for p in ps if p.state.breaker is not None
         ]
@@ -1769,13 +1628,9 @@ def run_vectorized(
             breaker_opens=sum(b.opens for b in breakers),
             breaker_closes=sum(b.closes for b in breakers),
         )
-    else:
-        resilience_stats = None
-    return RouterReport(
-        completed=sorted(completed, key=lambda r: r.request.rid),
-        rejected=raw.rejected(),
-        platforms=platforms,
-        events=raw.events(),
+    return LazyReport(
+        _source=_VecRaw(cols, flat, completed_rows, names),
+        platforms=router._platform_stats(states, horizon),
         horizon_s=horizon,
         resilience=resilience_stats,
         obs=obs.report_section() if obs.enabled else None,

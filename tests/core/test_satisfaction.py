@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,24 @@ class TestTimeRequirement:
     def test_rejects_zero_ti(self):
         with pytest.raises(ValueError):
             TimeRequirement(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(math.nan, math.nan), (math.nan, 1.0), (0.1, math.nan)],
+    )
+    def test_rejects_nan(self, bounds):
+        with pytest.raises(ValueError, match="NaN"):
+            TimeRequirement(*bounds)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(TypeError, match="imperceptible_s"):
+            TimeRequirement("0.1", 1.0)
+
+    def test_numpy_bounds_become_floats(self):
+        req = TimeRequirement(np.float64(0.1), np.float32(0.5))
+        assert type(req.imperceptible_s) is float
+        assert type(req.unusable_s) is float
+        assert req == TimeRequirement(0.1, float(np.float32(0.5)))
 
 
 class TestSoCTime:

@@ -12,7 +12,13 @@ from repro.core.fleet import FleetManager
 from repro.core.satisfaction import TimeRequirement
 from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
-from repro.serving import Tenant
+from repro.serving import (
+    CompletedRequest,
+    RejectedRequest,
+    Request,
+    RouterEvent,
+    Tenant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +59,20 @@ def background_tenant(spec):
     """A deadline-free tenant (background task class)."""
     background = ApplicationSpec("tagging", TaskClass.BACKGROUND)
     return Tenant.from_spec(background, priority=0)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Class names of every ``Request``, ``CompletedRequest``,
+    ``RejectedRequest`` and ``RouterEvent`` built while the test runs,
+    in construction order."""
+    built = []
+    for cls in (Request, CompletedRequest, RejectedRequest, RouterEvent):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built

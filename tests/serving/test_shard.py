@@ -11,14 +11,10 @@ from repro.control import ControllerConfig
 from repro.core.satisfaction import TimeRequirement
 from repro.faults import FaultEvent, FaultTrace
 from repro.serving import (
-    CompletedRequest,
     FleetCoordinator,
     FleetSpec,
-    RejectedRequest,
-    Request,
     RequestRouter,
     RouterConfig,
-    RouterEvent,
     RouterReport,
     Tenant,
     TenantLoad,
@@ -487,19 +483,10 @@ class TestColumnarFold:
 
 
 class TestCleanRunStaysColumnar:
-    def test_no_request_or_event_objects(self, monkeypatch):
+    def test_no_request_or_event_objects(self, constructions):
         """A clean inline 4-shard run builds no per-request or
         per-event object: every shard report, every view and the
         merged report stay unmaterialized."""
-        built = []
-        for cls in (Request, CompletedRequest, RejectedRequest, RouterEvent):
-            original = cls.__init__
-
-            def counting(self, *args, _original=original, **kwargs):
-                built.append(type(self).__name__)
-                _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
         outcome = shared_fleet._coordinator().run(
             shard_loads=shared_fleet._shard_loads(n_requests=40,
                                                   rate_hz=60.0)
@@ -507,7 +494,7 @@ class TestCleanRunStaysColumnar:
         outcome.report.fingerprint()
         outcome.report.to_dict(include_events=False)
         assert outcome.report.n_offered == 40 * shared_fleet.N_SHARDS
-        assert built == []
+        assert constructions == []
         reports = [outcome.report, *outcome.shard_reports]
         reports += [view._source.report for view in outcome.shard_reports]
         for report in reports:
